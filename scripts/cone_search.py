@@ -19,9 +19,7 @@ from sobolev_lab import TwoVariableKernel, cone_test, log_difference, power_diff
 def sum_kernel():
     return TwoVariableKernel(
         label="sum",
-        gram_fn=lambda xs, ys: xs[:, None] + ys[None, :],
-        symmetric=True,
-        construction={"kind": "custom", "label": "sum"})
+        gram_fn=lambda xs, ys: xs[:, None] + ys[None, :])
 
 
 def main(argv=None):

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AlgebraMismatchError, ContractViolationError, DomainError
+from .errors import AlgebraMismatchError, ContractViolationError
 
 DEFAULT_CLUSTER_TOL = 1e-8
 _WEIGHT_TOL = 1e-12
@@ -62,7 +62,7 @@ class WeightedAlgebra:
         labels = tuple(s[0] for s in sites)
         dims = tuple(int(s[1]) for s in sites)
         if weights is None:
-            weights = (1.0 / len(sites),) * len(sites)
+            weights = [1.0 / len(sites)] * len(sites) if sites else []
         return WeightedAlgebra(labels, dims, tuple(float(x) for x in weights))
 
     @staticmethod
@@ -85,10 +85,6 @@ class WeightedAlgebra:
     @property
     def n_sites(self):
         return len(self.dims)
-
-    @cached_property
-    def hilbert_dim(self):
-        return int(sum(self.dims))
 
     @cached_property
     def coeff_dim(self):
@@ -204,9 +200,6 @@ class AlgebraElement:
     def _check_same(self, other):
         if self.algebra != other.algebra:
             raise AlgebraMismatchError("operands live on different algebras")
-
-    def map_blocks(self, fn):
-        return AlgebraElement(self.algebra, [fn(b) for b in self.blocks])
 
     def stacked(self):
         """Blocks stacked to an (n_sites, k, k) array; uniform dims only."""
@@ -331,18 +324,8 @@ class SpectralDecomposition:
                   for lam, u in zip(self.eigenvalues, self.vectors)]
         return AlgebraElement(self.algebra, blocks)
 
-    def apply_scalar(self, fn):
-        """Element with the same eigenvectors and eigenvalues fn(lambda)."""
-        blocks = [(u * fn(lam)) @ u.conj().T
-                  for lam, u in zip(self.eigenvalues, self.vectors)]
-        return AlgebraElement(self.algebra, blocks)
-
     def min_eigenvalue(self):
         return min(float(lam[0]) for lam in self.eigenvalues)
-
-    def max_abs_eigenvalue(self):
-        return max(float(np.max(np.abs(lam))) if lam.size else 0.0
-                   for lam in self.eigenvalues)
 
 
 def _cluster_indices(lam, tol):
@@ -511,6 +494,55 @@ def random_positive(algebra, rank_fraction=1.0, floor=0.0, seed=0):
 
 
 # -- serialization ------------------------------------------------------------
+
+def _is_number(v):
+    return (isinstance(v, int) and not isinstance(v, bool)
+            or isinstance(v, float) and math.isfinite(v))
+
+
+def _is_numbers(v):
+    return isinstance(v, list) and all(_is_number(x) for x in v)
+
+
+# JSON value types that declarative specs (models, functions) name
+_JSON_TYPES = {
+    "string": lambda v: isinstance(v, str),
+    "integer": lambda v: _is_number(v) and v == int(v),
+    "number": _is_number,
+    "numbers": _is_numbers,
+    "square matrix": lambda v: isinstance(v, list) and all(
+        _is_numbers(row) and len(row) == len(v) for row in v),
+    "object": lambda v: isinstance(v, dict),
+    "array of two": lambda v: isinstance(v, list) and len(v) == 2,
+}
+
+
+def check_spec(spec, fields, whole=None):
+    """Raise ContractViolationError unless spec is an object holding exactly
+    the keys of fields, each value of its JSON type.
+
+    fields maps a key to a type name of _JSON_TYPES, or to the fields of a
+    nested object; a key ending in "?" may be left out.  Messages quote
+    whole, the outermost spec (spec itself by default).
+    """
+    whole = spec if whole is None else whole
+    if not isinstance(spec, dict):
+        raise ContractViolationError(f"malformed spec {whole!r}: {spec!r} is not an object")
+    keys = {key.rstrip("?"): key for key in fields}
+    for name in spec:
+        if name not in keys:
+            raise ContractViolationError(f"malformed spec {whole!r}: unknown key {name!r}")
+    for name, key in keys.items():
+        kind = fields[key]
+        if name not in spec:
+            if not key.endswith("?"):
+                raise ContractViolationError(f"malformed spec {whole!r}: missing {name!r}")
+        elif isinstance(kind, dict):
+            check_spec(spec[name], kind, whole)
+        elif not _JSON_TYPES[kind](spec[name]):
+            raise ContractViolationError(
+                f"malformed spec {whole!r}: {name!r} must be {kind}")
+
 
 def algebra_to_json(algebra):
     return {

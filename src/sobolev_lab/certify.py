@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
@@ -20,7 +20,8 @@ from scipy.optimize import minimize
 from .algebra import (AlgebraElement, WeightedAlgebra, element_to_json,
                       make_rng, p_norm, random_positive)
 from .entropy import bregman, entropy_vs_subalgebra, fisher_generator
-from .errors import (ContractViolationError, DegenerateStateError, DomainError)
+from .errors import (ContractViolationError, DegenerateStateError, DomainError,
+                     NumericalContractError)
 from .functions import power
 from .models import (ConditionalExpectation, _base_spec, ampliate_generator,
                      bernoulli_laplace, martingale_subalgebra_expectations,
@@ -163,9 +164,6 @@ class OptimizerBudget:
     state_floor: float = 1e-8
     curve_eps: tuple = tuple(np.logspace(-4.7, -1.0, 12))
     max_directions: int = 8
-
-    def with_seed(self, seed):
-        return replace(self, seed=int(seed))
 
 
 # -- the ratio -----------------------------------------------------------------
@@ -413,7 +411,10 @@ def estimate_constant(A, f, ampliation=1, budget=None):
     est, witness = candidates[best]
     check = sobolev_ratio(Ak, f, witness)
     if abs(check - est) > 1e-8 * (1.0 + abs(est)):
-        raise ContractViolationError("witness does not reproduce the estimate")
+        raise NumericalContractError(
+            f"witness ratio {check!r} does not reproduce the estimate {est!r} "
+            f"(model {A.spec!r}, ampliation {int(ampliation)}, "
+            f"f {f.to_spec()!r}, seed {budget.seed})")
 
     return CertificationResult(
         model=A.spec, f=f.to_spec(), ampliation=int(ampliation),

@@ -56,9 +56,6 @@ class QuantumChannel:
         """Superoperator matrix on row-major matrix-unit coefficients."""
         return sum(np.kron(K, K.conj()) for K in self.kraus)
 
-    def adjoint_matrix(self):
-        return self.matrix().conj().T
-
     def choi(self):
         """Choi matrix sum_ij E_ij tensor Phi(E_ij)."""
         d = self.dim
@@ -83,14 +80,6 @@ def haar_unitary(d, rng):
     phases = np.diag(r).copy()
     phases /= np.abs(phases)
     return q * phases
-
-
-def apply_channel(channel, x):
-    return channel.apply(x)
-
-
-def adjoint_apply(channel, y):
-    return channel.adjoint_apply(y)
 
 
 def random_channel(d, env_dim, seed):

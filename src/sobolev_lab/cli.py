@@ -2,15 +2,17 @@
 
 Each invocation reads one config file, runs a single command, writes a JSON
 report plus a CSV table under the output directory, and signals success only
-through the exit code: 0 pass or informational, 2 invalid config, 3 numerical
-failure.  Identical (config, seed) pairs produce identical bytes; all floats
-are printed with 12 significant digits and files are written atomically.
+through the exit code: 0 pass or informational; 2 invalid config, including a
+malformed model or function spec; 3 numerical failure, that is a failed check
+or a broken numerical contract (a witness that does not reproduce its
+estimate, a generator with a negative mode or one that is not self-adjoint).
+Identical (config, seed) pairs produce identical bytes; all floats are
+printed with 12 significant digits and files are written atomically.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -24,15 +26,15 @@ from .certify import (DEFAULT_T_GRID, OptimizerBudget, decay_check,
                       estimate_constant, pnorm_decay_check)
 from .doi import cone_test, log_difference, power_difference
 from .entropy import entropy_vs_subalgebra
-from .errors import ContractViolationError, DegenerateStateError, DomainError
+from .errors import (ContractViolationError, DegenerateStateError, DomainError,
+                     NumericalContractError)
 from .functions import function_from_spec
 from .models import ampliate_generator, model_from_spec, semigroup_apply
-from .suite import (CHECKS, _model_label, check_dpi, reports_to_csv,
-                    suite_run, suite_verdict)
+from .suite import (CHECKS, _model_label, check_dpi, csv_text,
+                    reports_to_csv, suite_run, suite_verdict)
 
-_MODEL = {"type": "object"}
-_F = {"type": "object", "required": ["tag"], "additionalProperties": False,
-      "properties": {"tag": {"type": "string"}, "p": {"type": "number"}}}
+# model_from_spec and function_from_spec check the fields of these specs
+_SPEC = {"type": "object"}
 _BUDGET = {"type": "object", "additionalProperties": False,
            "properties": {"restarts": {"type": "integer", "minimum": 1},
                           "iterations": {"type": "integer", "minimum": 1}}}
@@ -44,19 +46,19 @@ SCHEMAS = {
     "gap": {
         "type": "object", "additionalProperties": False,
         "required": ["command", "model"],
-        "properties": dict(_COMMON, model=_MODEL),
+        "properties": dict(_COMMON, model=_SPEC),
     },
     "estimate": {
         "type": "object", "additionalProperties": False,
         "required": ["command", "model", "f"],
-        "properties": dict(_COMMON, model=_MODEL, f=_F, budget=_BUDGET,
+        "properties": dict(_COMMON, model=_SPEC, f=_SPEC, budget=_BUDGET,
                            ampliation={"type": "integer", "minimum": 1}),
     },
     "decay": {
         "type": "object", "additionalProperties": False,
         "required": ["command", "model", "f", "lambda"],
         "properties": dict(
-            _COMMON, model=_MODEL, f=_F,
+            _COMMON, model=_SPEC, f=_SPEC,
             ampliation={"type": "integer", "minimum": 1},
             n_states={"type": "integer", "minimum": 1},
             t_grid=_T_GRID,
@@ -66,7 +68,7 @@ SCHEMAS = {
         "type": "object", "additionalProperties": False,
         "required": ["command", "model", "p", "lambda"],
         "properties": dict(
-            _COMMON, model=_MODEL,
+            _COMMON, model=_SPEC,
             p={"type": "number", "exclusiveMinimum": 1, "exclusiveMaximum": 2},
             n_states={"type": "integer", "minimum": 1},
             t_grid=_T_GRID,
@@ -135,39 +137,19 @@ def _write_json(path, payload):
                                    sort_keys=True) + "\n")
 
 
-def _csv_text(rows):
-    import io
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-_CSV_HEADER = ["check_id", "model", "f", "p", "k", "seed",
-               "value", "slack", "verdict"]
-
-
-def _fmt(x):
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
-
-
 def emit_decay_curve(A, f, rho, t_grid, path, lam):
     """CSV (t, entropy, bound_e_minus_lambda_t): entropy along the semigroup
     against the exponential bound started from the t=0 value."""
     E = A.expectation
     d0 = entropy_vs_subalgebra(f, rho, E).value
-    rows = [["t", "entropy", "bound_e_minus_lambda_t"]]
+    rows = []
     for t in t_grid:
         t = float(t)
         sigma = semigroup_apply(A, t, rho).hermitian_part()
         d_t = entropy_vs_subalgebra(f, sigma, E).value
-        rows.append([_fmt(t), _fmt(d_t), _fmt(d0 * math.exp(-lam * t))])
-    _atomic_write(path, _csv_text(rows))
+        rows.append([t, d_t, d0 * math.exp(-lam * t)])
+    _atomic_write(path, csv_text(
+        rows, header=("t", "entropy", "bound_e_minus_lambda_t")))
     return path
 
 
@@ -176,6 +158,7 @@ def _build_model(config):
     k = int(config.get("ampliation", 1))
     if k > 1:
         A = ampliate_generator(A, k)
+    A.spectral()  # refuse a model over the dense budget before states are drawn
     return A
 
 
@@ -205,10 +188,8 @@ def _run_gap(config, out, seed, quiet):
     _write_json(os.path.join(out, "gap.json"),
                 {"command": "gap", "model": A.spec, "gap": g,
                  "exact": exact, "verdict": verdict, "seed": seed})
-    rows = [_CSV_HEADER,
-            ["gap", _model_label(A.spec), "", "", "",
-             _fmt(seed), _fmt(g), _fmt(slack), verdict]]
-    _atomic_write(os.path.join(out, "gap.csv"), _csv_text(rows))
+    rows = [["gap", _model_label(A.spec), "", "", "", seed, g, slack, verdict]]
+    _atomic_write(os.path.join(out, "gap.csv"), csv_text(rows))
     if not quiet:
         print(f"{g:.9f}")
     return 0 if verdict == "pass" else 3
@@ -232,12 +213,11 @@ def _run_estimate(config, out, seed, quiet):
     payload = dict(res.to_json(), command="estimate", verdict=verdict)
     _write_json(os.path.join(out, "estimate.json"), payload)
     f_spec = f.to_spec()
-    rows = [_CSV_HEADER]
-    for i, val in enumerate(res.restart_values):
-        rows.append(["estimate", _model_label(res.model),
-                     f_spec["tag"], _fmt(f_spec.get("p")), _fmt(res.ampliation),
-                     _fmt(i), _fmt(val), _fmt(val - est), verdict])
-    _atomic_write(os.path.join(out, "estimate.csv"), _csv_text(rows))
+    rows = [["estimate", _model_label(res.model), f_spec["tag"],
+             f_spec.get("p"), res.ampliation, i, val,
+             None if val is None else val - est, verdict]
+            for i, val in enumerate(res.restart_values)]
+    _atomic_write(os.path.join(out, "estimate.csv"), csv_text(rows))
     if not quiet:
         print(f"estimate {est:.12g} verdict {verdict}")
     return 0 if verdict in ("pass", "informational") else 3
@@ -288,15 +268,13 @@ def _run_cone_test(config, out, seed, quiet):
     rep = cone_test(F, **kwargs)
     _write_json(os.path.join(out, "cone_test.json"),
                 dict(rep.to_json(), command="cone-test"))
-    rows = [_CSV_HEADER,
-            ["cone_membership", "", rep.kernel, _fmt(spec.get("p")), "",
-             _fmt(seed), _fmt(rep.worst_min_eig), _fmt(rep.worst_margin),
-             rep.verdict]]
+    rows = [["cone_membership", "", rep.kernel, spec.get("p"), "", seed,
+             rep.worst_min_eig, rep.worst_margin, rep.verdict]]
     for v in rep.violations:
-        rows.append(["cone_membership", "", rep.kernel, _fmt(spec.get("p")),
-                     _fmt(v["dim"]), _fmt(v["seed"]), _fmt(v["min_eig"]),
-                     _fmt(v["min_eig"] + v["tolerance"]), rep.verdict])
-    _atomic_write(os.path.join(out, "cone_test.csv"), _csv_text(rows))
+        rows.append(["cone_membership", "", rep.kernel, spec.get("p"),
+                     v["dim"], v["seed"], v["min_eig"],
+                     v["min_eig"] + v["tolerance"], rep.verdict])
+    _atomic_write(os.path.join(out, "cone_test.csv"), csv_text(rows))
     if not quiet:
         print(f"cone-test verdict {rep.verdict}")
     return 0 if rep.verdict == "pass" else 3
@@ -323,6 +301,9 @@ def _run_suite(config, out, seed, quiet, check_filter=None):
             cid = entry if isinstance(entry, str) else entry.get("id")
             if cid == check_filter:
                 keep.append(entry)
+        if not keep:
+            raise ContractViolationError(
+                f"--check {check_filter!r} names no check of this config")
         suite_cfg["checks"] = keep
     reports = suite_run(suite_cfg)
     verdict = suite_verdict(reports)
@@ -375,12 +356,12 @@ def run(config, out_dir=None, seed=None, check_filter=None, quiet=False):
             return _run_suite(config, out, run_seed, quiet,
                               check_filter=check_filter)
         return _RUNNERS[command](config, out, run_seed, quiet)
+    except (NumericalContractError, DegenerateStateError, DomainError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except ContractViolationError as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return 2
-    except (DegenerateStateError, DomainError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
 
 
 def main(argv=None):

@@ -29,13 +29,10 @@ DEFAULT_KERNEL_FLOOR = 1e-12
 class TwoVariableKernel:
     """Kernel F(x, y) on the positive quadrant with its evaluation grid."""
 
-    def __init__(self, label, gram_fn, symmetric=False, floor=DEFAULT_KERNEL_FLOOR,
-                 construction=("custom",)):
+    def __init__(self, label, gram_fn, floor=DEFAULT_KERNEL_FLOOR):
         self.label = label
         self._gram_fn = gram_fn
-        self.symmetric = bool(symmetric)
         self.floor = float(floor)
-        self.construction = tuple(construction)
 
     def gram(self, xs, ys):
         xs = np.asarray(xs, dtype=float)
@@ -57,21 +54,19 @@ class TwoVariableKernel:
     def constant(cls, c):
         return cls(f"const({c:g})",
                    lambda xs, ys: np.full((xs.size, ys.size), float(c)),
-                   symmetric=True, floor=0.0, construction=("constant", c))
+                   floor=0.0)
 
     @classmethod
     def diff_quot1(cls, f, tol=DEFAULT_CLUSTER_TOL):
         """(f(x)-f(y))/(x-y) with the derivative on near-degenerate pairs."""
         return cls(f"diffquot1[{f.label}]",
-                   lambda xs, ys: divided_diff_grid(f, 1, xs, ys, tol),
-                   symmetric=True, construction=("diff_quot1", f.label))
+                   lambda xs, ys: divided_diff_grid(f, 1, xs, ys, tol))
 
     @classmethod
     def diff_quot2(cls, f, tol=DEFAULT_CLUSTER_TOL):
         """(f'(x)-f'(y))/(x-y) with f'' on near-degenerate pairs."""
         return cls(f"diffquot2[{f.label}]",
-                   lambda xs, ys: divided_diff_grid(f, 2, xs, ys, tol),
-                   symmetric=True, construction=("diff_quot2", f.label))
+                   lambda xs, ys: divided_diff_grid(f, 2, xs, ys, tol))
 
     @classmethod
     def perspective(cls, f):
@@ -80,8 +75,7 @@ class TwoVariableKernel:
             X = xs[:, None]
             Y = ys[None, :]
             return f.eval_order((X / Y) * np.ones_like(Y), 0) * Y
-        return cls(f"perspective[{f.label}]", gram, symmetric=False,
-                   construction=("perspective", f.label))
+        return cls(f"perspective[{f.label}]", gram)
 
     def inverse(self):
         def gram(xs, ys):
@@ -89,37 +83,7 @@ class TwoVariableKernel:
             if np.any(np.abs(m) < 1e-300):
                 raise DomainError(f"kernel {self.label} vanishes on the grid; cannot invert")
             return 1.0 / m
-        return TwoVariableKernel(f"inv[{self.label}]", gram, symmetric=self.symmetric,
-                                 floor=self.floor, construction=("inverse",) + self.construction)
-
-    def scaled(self, c):
-        return TwoVariableKernel(f"{c:g}*{self.label}",
-                                 lambda xs, ys: float(c) * self.gram(xs, ys),
-                                 symmetric=self.symmetric, floor=self.floor,
-                                 construction=("scaled", c) + self.construction)
-
-    def __add__(self, other):
-        return TwoVariableKernel(f"({self.label}+{other.label})",
-                                 lambda xs, ys: self.gram(xs, ys) + other.gram(xs, ys),
-                                 symmetric=self.symmetric and other.symmetric,
-                                 floor=max(self.floor, other.floor),
-                                 construction=("sum",))
-
-    def __mul__(self, other):
-        return TwoVariableKernel(f"({self.label}*{other.label})",
-                                 lambda xs, ys: self.gram(xs, ys) * other.gram(xs, ys),
-                                 symmetric=self.symmetric and other.symmetric,
-                                 floor=max(self.floor, other.floor),
-                                 construction=("product",))
-
-    def translated(self, r, s):
-        """F(x + r, y + s) for nonnegative shifts."""
-        if r < 0 or s < 0:
-            raise ContractViolationError("translation shifts must be nonnegative")
-        return TwoVariableKernel(f"{self.label}@(+{r:g},+{s:g})",
-                                 lambda xs, ys: self.gram(xs + r, ys + s),
-                                 symmetric=self.symmetric and r == s, floor=self.floor,
-                                 construction=("translated", r, s) + self.construction)
+        return TwoVariableKernel(f"inv[{self.label}]", gram, floor=self.floor)
 
 
 # -- named kernels -----------------------------------------------------------

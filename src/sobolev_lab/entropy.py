@@ -17,7 +17,7 @@ import numpy as np
 from .algebra import (AlgebraElement, WeightedAlgebra, eigh, floored_eigenvalues,
                       inner, matrix_function, pair_trace, trace)
 from .doi import DEFAULT_KERNEL_FLOOR, schur_q
-from .errors import AlgebraMismatchError, ContractViolationError, DomainError
+from .errors import AlgebraMismatchError, ContractViolationError
 from .functions import divided_diff_grid
 
 DEFAULT_EPSILON = 1e-8
@@ -198,11 +198,6 @@ def difference_derivation_from_moves(algebra, moves):
 
     return DerivationHandle("difference", algebra, target, ap, left, right, J,
                             pair_rates=rates, rate_norm=Z)
-
-
-def linear_derivation(source, target, apply_fn, left_sites, right_sites, involution):
-    return DerivationHandle("linear", source, target, apply_fn,
-                            left_sites, right_sites, involution)
 
 
 def fisher_derivation(delta, f, rho, weights=None, cluster_tol=None):

@@ -5,6 +5,12 @@ class ContractViolationError(ValueError):
     """An input violates a structural precondition (shape, hermiticity, positivity)."""
 
 
+class NumericalContractError(ContractViolationError):
+    """A computed result breaks a guarantee the mathematics gives (a witness
+    that does not reproduce its estimate, a generator with a negative mode or
+    one that is not self-adjoint)."""
+
+
 class AlgebraMismatchError(ContractViolationError):
     """Operands live on different algebras."""
 

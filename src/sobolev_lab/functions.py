@@ -9,11 +9,11 @@ multiplier kernels stable across eigenvalue crossings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEFAULT_CLUSTER_TOL
+from .algebra import DEFAULT_CLUSTER_TOL, check_spec
 from .errors import ContractViolationError, DomainError
 
 
@@ -111,20 +111,22 @@ def log_fn():
     )
 
 
-def custom(label, f0, f1=None, f2=None, zero_values=(None, None, None), convex=False):
-    return ScalarFunctionDescriptor(label=label, order_fns=(f0, f1, f2),
-                                    zero_values=tuple(zero_values), convex=convex)
+# each function tag: its builder and the fields its spec adds to "tag"
+_FUNCTION_SPECS = {
+    "xlogx": (xlogx, {}),
+    "power": (power, {"p": "number"}),
+    "log": (log_fn, {}),
+}
 
 
 def function_from_spec(spec):
-    tag = spec.get("tag")
-    if tag == "xlogx":
-        return xlogx()
-    if tag == "power":
-        return power(spec["p"])
-    if tag == "log":
-        return log_fn()
-    raise ContractViolationError(f"unknown function tag {tag!r}")
+    """Rebuild a descriptor from its spec (round-trips to_spec)."""
+    tag = spec.get("tag") if isinstance(spec, dict) else None
+    if not isinstance(tag, str) or tag not in _FUNCTION_SPECS:
+        raise ContractViolationError(f"unknown function tag in spec {spec!r}")
+    build, fields = _FUNCTION_SPECS[tag]
+    check_spec(spec, {"tag": "string", **fields})
+    return build(*(spec[key] for key in fields))
 
 
 def divided_diff_grid(f, order, xs, ys, tol=DEFAULT_CLUSTER_TOL):

@@ -11,16 +11,17 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import (AlgebraElement, WeightedAlgebra, ampliate_algebra,
-                      element_from_factor_coeffs, factor_coeff_matrix,
-                      tensor_algebra, trace)
-from .entropy import DerivationHandle, difference_derivation_from_moves
-from .errors import AlgebraMismatchError, ContractViolationError
+                      check_spec, element_from_factor_coeffs,
+                      factor_coeff_matrix, tensor_algebra, trace)
+from .entropy import difference_derivation_from_moves
+from .errors import (AlgebraMismatchError, ContractViolationError,
+                     NumericalContractError)
 
 DEFAULT_GAP_TOL = 1e-9
 MAX_DENSE_COEFF_DIM = 4096
@@ -146,37 +147,25 @@ def _as_cells(E):
     return None
 
 
-@dataclass(frozen=True)
-class ConfigurationSpace:
-    """Ordered configuration labels plus the elementary moves between them.
-
-    Moves are (source site, target site, rate) triples.  For the built-in
-    walks the move map is an involution on labels and the move graph is
-    connected, which validate() asserts.
-    """
-
-    labels: tuple
-    moves: tuple
-
-    def validate(self):
-        pairs = {(s, t) for s, t, _ in self.moves}
-        for s, t in pairs:
-            if (t, s) not in pairs:
-                raise ContractViolationError("moves must come in reversible pairs")
-        m = len(self.labels)
-        seen, stack = {0}, [0]
-        neighbors = {}
-        for s, t, _ in self.moves:
-            neighbors.setdefault(s, []).append(t)
-        while stack:
-            x = stack.pop()
-            for y in neighbors.get(x, ()):
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != m:
-            raise ContractViolationError("configuration graph is not connected")
-        return self
+def _check_moves(n_sites, moves):
+    """Moves, (source site, target site, rate) triples, must come in
+    reversible pairs and connect all n_sites configurations."""
+    pairs = {(s, t) for s, t, _ in moves}
+    for s, t in pairs:
+        if (t, s) not in pairs:
+            raise ContractViolationError("moves must come in reversible pairs")
+    seen, stack = {0}, [0]
+    neighbors = {}
+    for s, t, _ in moves:
+        neighbors.setdefault(s, []).append(t)
+    while stack:
+        x = stack.pop()
+        for y in neighbors.get(x, ()):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    if len(seen) != n_sites:
+        raise ContractViolationError("configuration graph is not connected")
 
 
 def _lifted_expectation(E1, E2, alg1, alg2, product_algebra):
@@ -208,7 +197,7 @@ class GeneratorHandle:
     """
 
     def __init__(self, algebra, *, apply_fn=None, site_matrix=None, plain=None,
-                 expectation=None, moves=None, config=None, spec=None,
+                 expectation=None, moves=None, spec=None,
                  exact_gap=None, gap_tol=DEFAULT_GAP_TOL):
         if apply_fn is None and site_matrix is None and plain is None:
             raise ContractViolationError("a generator needs an action")
@@ -225,7 +214,6 @@ class GeneratorHandle:
         self._plain = None if plain is None else np.asarray(plain)
         self._expectation = expectation
         self.moves = None if moves is None else tuple(moves)
-        self.config = config
         self.spec = spec
         self.exact_gap = exact_gap
         self.gap_tol = float(gap_tol)
@@ -249,6 +237,7 @@ class GeneratorHandle:
         with self._lock:
             if self._plain is None:
                 if self.site_matrix is not None:
+                    _check_dense_budget(self.algebra)
                     k2 = self.algebra.uniform_dim ** 2
                     self._plain = np.kron(self.site_matrix, np.eye(k2))
                 else:
@@ -264,8 +253,9 @@ class GeneratorHandle:
                 S = (s[:, None] * T) / s[None, :]
                 defect = np.linalg.norm(S - S.conj().T)
                 if defect > 1e-10 * (1.0 + np.linalg.norm(S)):
-                    raise ContractViolationError(
-                        "generator is not self-adjoint for the weighted trace")
+                    raise NumericalContractError(
+                        "generator is not self-adjoint for the weighted trace "
+                        f"(defect {defect:.3e}, spec {self.spec!r})")
                 self._orth = 0.5 * (S + S.conj().T)
             return self._orth
 
@@ -277,7 +267,9 @@ class GeneratorHandle:
                 lam, V = np.linalg.eigh(S)
                 scale = max(abs(float(lam[0])), abs(float(lam[-1])), 1e-30)
                 if lam[0] < -1e-10 * scale:
-                    raise ContractViolationError("generator has a negative mode")
+                    raise NumericalContractError(
+                        f"generator has a negative mode {lam[0]:.3e} "
+                        f"(spec {self.spec!r})")
                 self._eig = (np.maximum(lam, 0.0), V)
             return self._eig
 
@@ -310,7 +302,14 @@ def semigroup_apply(A, t, x):
         raise ContractViolationError("the semigroup runs forward in time")
     lam, V = A.spectral()
     v = A.algebra.vec(x)
-    w = V @ (np.exp(-float(t) * lam) * (V.conj().T @ v))
+    decay = np.exp(-float(t) * lam)
+    if np.isrealobj(V):
+        # real parts apart, so that V is not cast to complex on every call
+        def prop(u):
+            return V @ (decay * (V.T @ u))
+        w = prop(v.real) + 1j * prop(v.imag)
+    else:
+        w = V @ (decay * (V.conj().T @ v))
     return A.algebra.unvec(w)
 
 
@@ -347,11 +346,11 @@ def random_transposition(n, matrix_dim=1):
                 if i < j:
                     L[s, t] -= 2.0 / n
     E = ConditionalExpectation.from_partition(algebra, (tuple(range(m)),))
-    config = ConfigurationSpace(tuple(perms), tuple(moves)).validate()
+    _check_moves(m, moves)
     spec = {"model": "random_transposition", "params": {"n": int(n)},
             "matrix_dim": int(matrix_dim)}
     return GeneratorHandle(algebra, site_matrix=L, expectation=E,
-                           moves=moves, config=config, spec=spec, exact_gap=2.0)
+                           moves=moves, spec=spec, exact_gap=2.0)
 
 
 def bernoulli_laplace(n, r, matrix_dim=1):
@@ -362,9 +361,10 @@ def bernoulli_laplace(n, r, matrix_dim=1):
     """
     if n < 2 or not 1 <= r <= n - 1:
         raise ContractViolationError("occupancy must satisfy n >= 2, 1 <= r <= n-1")
-    configs = list(itertools.combinations(range(1, n + 1), r))
-    if len(configs) > 70:
+    # C(n, r) >= n, so n bounds the count before it is computed
+    if n > 70 or math.comb(n, r) > 70:
         raise ContractViolationError("configuration space too large for desk work")
+    configs = list(itertools.combinations(range(1, n + 1), r))
     index = {c: i for i, c in enumerate(configs)}
     m = len(configs)
     algebra = WeightedAlgebra.build([(c, matrix_dim) for c in configs])
@@ -382,11 +382,11 @@ def bernoulli_laplace(n, r, matrix_dim=1):
                     cnt += 1
         L[s, s] = cnt / n
     E = ConditionalExpectation.from_partition(algebra, (tuple(range(m)),))
-    config = ConfigurationSpace(tuple(configs), tuple(moves)).validate()
+    _check_moves(m, moves)
     spec = {"model": "bernoulli_laplace", "params": {"n": int(n), "r": int(r)},
             "matrix_dim": int(matrix_dim)}
     return GeneratorHandle(algebra, site_matrix=L, expectation=E,
-                           moves=moves, config=config, spec=spec, exact_gap=1.0)
+                           moves=moves, spec=spec, exact_gap=1.0)
 
 
 def depolarizing(expectation):
@@ -478,35 +478,29 @@ def ampliate_generator(A, factor):
         raise ContractViolationError("ampliation factor must be >= 1")
     if factor == 1:
         return A
-    alg2 = ampliate_algebra(A.algebra, factor)
+    a1 = A.algebra
+    alg2 = ampliate_algebra(a1, factor)
+    mk = WeightedAlgebra.full_matrix(factor, label=("amp", factor))
+
+    def lift(T):
+        """The map T (x) id for a plain-coefficient matrix T on a1."""
+        def ap(x):
+            C = factor_coeff_matrix(x, a1, mk)
+            return element_from_factor_coeffs(T @ C, a1, mk, alg2)
+        return ap
+
     E1 = A.expectation
     if E1.kind == "partition":
         E2 = E1.rebind(alg2)
     else:
-        T = E1.matrix()
-        a1 = A.algebra
-        mk = WeightedAlgebra.full_matrix(factor, label=("amp", factor))
-
-        def eap(x):
-            C = factor_coeff_matrix(x, a1, mk)
-            return element_from_factor_coeffs(T @ C, a1, mk, alg2)
-
-        E2 = ConditionalExpectation(alg2, eap, kind="lifted")
+        E2 = ConditionalExpectation(alg2, lift(E1.matrix()), kind="lifted")
     spec = None
     if A.spec is not None:
         spec = {"model": "ampliation", "factor": factor, "base": A.spec}
     if A.site_matrix is not None:
         return GeneratorHandle(alg2, site_matrix=A.site_matrix, expectation=E2,
                                moves=A.moves, spec=spec, exact_gap=A.exact_gap)
-    T = A.plain_matrix()
-    a1 = A.algebra
-    mk = WeightedAlgebra.full_matrix(factor, label=("amp", factor))
-
-    def ap(x):
-        C = factor_coeff_matrix(x, a1, mk)
-        return element_from_factor_coeffs(T @ C, a1, mk, alg2)
-
-    return GeneratorHandle(alg2, apply_fn=ap, expectation=E2,
+    return GeneratorHandle(alg2, apply_fn=lift(A.plain_matrix()), expectation=E2,
                            moves=A.moves, spec=spec, exact_gap=A.exact_gap)
 
 
@@ -582,9 +576,32 @@ def difference_derivation(A):
     return difference_derivation_from_moves(A.algebra, A.moves)
 
 
+# the fields of each model tag's spec besides "model" (see algebra.check_spec)
+_MODEL_SPECS = {
+    "random_transposition": {"params": {"n": "integer"},
+                             "matrix_dim?": "integer"},
+    "bernoulli_laplace": {"params": {"n": "integer", "r": "integer"},
+                          "matrix_dim?": "integer"},
+    "depolarizing": {"params": {"sites": "integer", "weights?": "numbers"},
+                     "matrix_dim?": "integer"},
+    "graph": {"params": {"adjacency": "square matrix",
+                         "site_weights?": "numbers"},
+              "matrix_dim?": "integer"},
+    "tensor": {"factors": "array of two"},
+    "ampliation": {"base": "object", "factor": "integer"},
+}
+
+
 def model_from_spec(spec):
-    """Rebuild a generator from its declarative description (round-trips .spec)."""
-    model = spec.get("model")
+    """Rebuild a generator from its declarative description (round-trips .spec).
+
+    A spec with an unknown tag, or a missing, unknown or wrongly typed field,
+    raises ContractViolationError.
+    """
+    model = spec.get("model") if isinstance(spec, dict) else None
+    if not isinstance(model, str) or model not in _MODEL_SPECS:
+        raise ContractViolationError(f"unknown model tag in spec {spec!r}")
+    check_spec(spec, {"model": "string", **_MODEL_SPECS[model]})
     k = int(spec.get("matrix_dim", 1))
     params = spec.get("params", {})
     if model == "random_transposition":
@@ -602,9 +619,7 @@ def model_from_spec(spec):
     if model == "tensor":
         f1, f2 = spec["factors"]
         return tensor_generator(model_from_spec(f1), model_from_spec(f2))
-    if model == "ampliation":
-        return ampliate_generator(model_from_spec(spec["base"]), int(spec["factor"]))
-    raise ContractViolationError(f"unknown model tag: {model!r}")
+    return ampliate_generator(model_from_spec(spec["base"]), int(spec["factor"]))
 
 
 def export_matrix_csv(A, path, orthonormal=True):

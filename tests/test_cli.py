@@ -180,6 +180,15 @@ def test_suite_unknown_check_id_exits_two(tmp_path, capsys):
     assert "contract violation" in capsys.readouterr().err
 
 
+def test_suite_check_filter_naming_no_check_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"command": "suite", "checks": ["gap"]})
+    out = tmp_path / "art"
+    assert main(["--config", cfg, "--out", str(out), "--check",
+                 "gradient_identity"]) == 2
+    assert "names no check" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_config_accepts_each_command():
     assert validate_config({"command": "gap", "model": RT3}) == "gap"
     assert validate_config({"command": "suite"}) == "suite"
@@ -192,3 +201,84 @@ def test_run_callable_directly(tmp_path):
                quiet=True)
     assert code == 0
     assert (tmp_path / "gap.json").exists()
+
+
+BL42 = {"model": "bernoulli_laplace", "params": {"n": 4, "r": 2}}
+
+
+@pytest.mark.parametrize("config", [
+    {"command": "gap", "model": {"model": "random_transposition",
+                                 "params": {}}},
+    {"command": "gap", "model": {"model": "random_transposition",
+                                 "params": {"n": "x"}}},
+    {"command": "estimate", "model": RT3, "f": {"tag": "power"}},
+    {"command": "gap", "model": {"model": "tensor", "factors": [RT3]}},
+    {"command": "gap", "model": {"model": "bernoulli_laplace",
+                                 "params": {"n": 4}}},
+    {"command": "gap", "model": {"model": "ampliation", "factor": 2}},
+    {"command": "gap", "model": {"model": "depolarizing", "params": {}}},
+    {"command": "gap", "model": {"model": "graph", "params": {}}},
+    {"command": "gap", "model": {"model": "random_transposition",
+                                 "params": {"n": 3.7}}},
+    {"command": "gap", "model": dict(BL42, tag="x")},
+    {"command": "decay", "model": BL42, "lambda": 0.5,
+     "f": {"tag": "xlogx", "p": 1.5}},
+    {"command": "gap", "model": {"model": "graph", "params": {
+        "adjacency": [[0, 1], [1]]}}},
+], ids=["params_empty", "n_not_int", "power_without_p", "tensor_one_factor",
+        "bl_without_r", "ampliation_without_base", "depolarizing_without_sites",
+        "graph_without_adjacency", "n_fractional", "model_unknown_key",
+        "f_unknown_key", "adjacency_ragged"])
+def test_malformed_spec_exits_two_without_artifacts(tmp_path, capsys, config):
+    out = tmp_path / "art"
+    assert run(config, out_dir=str(out), quiet=True) == 2
+    assert "malformed spec" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_witness_mismatch_exits_three(tmp_path, capsys, monkeypatch):
+    import sobolev_lab.certify as certify
+    exact = certify.sobolev_ratio
+    calls = []
+
+    def drifting(*args, **kwargs):
+        calls.append(None)
+        return exact(*args, **kwargs) + 1e-6 * len(calls)
+
+    monkeypatch.setattr(certify, "sobolev_ratio", drifting)
+    out = tmp_path / "art"
+    config = {"command": "estimate", "model": RT3,
+              "f": {"tag": "power", "p": 1.5}, "budget": TINY_BUDGET}
+    assert run(config, out_dir=str(out), quiet=True) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "does not reproduce" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("site_matrix,message", [
+    ([[-1.0, 1.0], [1.0, -1.0]], "negative mode"),
+    ([[1.0, -1.0], [0.0, 0.0]], "not self-adjoint"),
+], ids=["negative_mode", "not_self_adjoint"])
+def test_broken_generator_exits_three(tmp_path, capsys, monkeypatch,
+                                      site_matrix, message):
+    from sobolev_lab import GeneratorHandle, WeightedAlgebra
+    A = GeneratorHandle(WeightedAlgebra.commutative(2), site_matrix=site_matrix)
+    monkeypatch.setattr("sobolev_lab.cli.model_from_spec", lambda spec: A)
+    out = tmp_path / "art"
+    assert run({"command": "gap", "model": RT3}, out_dir=str(out),
+               quiet=True) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and message in err
+    assert not out.exists()
+
+
+def test_over_budget_model_refused_before_states_are_drawn(tmp_path,
+                                                           monkeypatch):
+    def no_states(*args):
+        raise AssertionError("states drawn for a model over the dense budget")
+
+    monkeypatch.setattr("sobolev_lab.cli._states", no_states)
+    config = {"command": "decay", "model": dict(RT3, matrix_dim=100),
+              "f": {"tag": "xlogx"}, "lambda": 1.0}
+    assert run(config, out_dir=str(tmp_path / "art"), quiet=True) == 2
+    assert not (tmp_path / "art").exists()

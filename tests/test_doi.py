@@ -149,8 +149,7 @@ def test_homogeneity_of_constant():
 
 
 def test_homogeneity_fails_for_inverse_product():
-    F = TwoVariableKernel("1/(xy)", lambda xs, ys: 1.0 / (xs[:, None] * ys[None, :]),
-                          symmetric=True)
+    F = TwoVariableKernel("1/(xy)", lambda xs, ys: 1.0 / (xs[:, None] * ys[None, :]))
     assert not homogeneity_check(F, (0.5,), np.linspace(0.5, 2.0, 5))
 
 
@@ -171,7 +170,7 @@ def test_cone_search_finds_sum_kernel_counterexample():
     # x + y is not monotone under channel compression; the search should
     # produce witnesses (frozen outcome for this seed and trial count)
     F = TwoVariableKernel("x+y", lambda xs, ys: xs[:, None] + ys[None, :],
-                          symmetric=True, floor=0.0)
+                          floor=0.0)
     rep = cone_test(F, side="plus", trials=200, seed=0)
     assert rep.worst_min_eig < -1e-6
     assert rep.verdict == "fail"

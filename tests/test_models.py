@@ -210,6 +210,19 @@ def test_semigroup_law(s, t):
     assert (two_step - one_step).norm() <= 1e-10 * (1.0 + x.norm())
 
 
+def test_semigroup_matches_expm_of_the_site_matrix():
+    # a non-hermitian complex element, so both the real and the imaginary
+    # part of its coefficients go through the real eigenvectors
+    from scipy.linalg import expm
+    A = random_transposition(3, matrix_dim=2)
+    x = random_element(A.algebra, seed=9)
+    assert np.abs(np.imag(x.stacked())).max() > 0.1
+    t = 0.7
+    expected = np.tensordot(expm(-t * A.site_matrix), x.stacked(), axes=(1, 0))
+    got = semigroup_apply(A, t, x).stacked()
+    assert np.abs(got - expected).max() <= 1e-12 * (1.0 + np.abs(expected).max())
+
+
 def test_semigroup_converges_to_the_expectation():
     A = ring4(k=2)
     x = random_element(A.algebra, seed=8)

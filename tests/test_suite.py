@@ -3,7 +3,8 @@
 import pytest
 
 from sobolev_lab import ContractViolationError, suite_run, suite_verdict
-from sobolev_lab.suite import CHECKS, check_gap, reports_to_csv
+from sobolev_lab.suite import (CHECKS, check_gap, check_gradient_identity,
+                               reports_to_csv)
 
 
 def test_registry_is_complete_and_callable():
@@ -78,3 +79,11 @@ def test_csv_empty_suite_is_header_only(tmp_path):
     out = tmp_path / "empty.csv"
     reports_to_csv([], out)
     assert out.read_text().strip() == "check_id,model,f,p,k,seed,value,slack,verdict"
+
+
+@pytest.mark.parametrize("seed", [1, 9, 17, 28, 36, 37, 41, 42, 44, 47, 49, 57,
+                                  64, 74, 78, 85, 88, 90, 92, 93, 99])
+def test_gradient_identity_passes_where_the_central_difference_failed(seed):
+    # the plain central difference (h = 1e-4) missed the 1e-5 relative
+    # tolerance on these seeds by its O(h^2) truncation error
+    assert check_gradient_identity(seed=seed).verdict == "pass"
