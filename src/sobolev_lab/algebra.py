@@ -105,6 +105,14 @@ class WeightedAlgebra:
         return self.dims[0] if len(set(self.dims)) == 1 else None
 
     @cached_property
+    def dim_groups(self):
+        """(dim, site index array) per distinct block dim."""
+        sites = {}
+        for s, k in enumerate(self.dims):
+            sites.setdefault(k, []).append(s)
+        return tuple((k, np.array(idx)) for k, idx in sites.items())
+
+    @cached_property
     def scales(self):
         """Per-coordinate sqrt(mu_w/k_w); multiplying plain coefficients by
         this vector gives coordinates in the orthonormal tau-basis (matrix
@@ -343,19 +351,64 @@ def _cluster_indices(lam, tol):
     return tuple(groups)
 
 
+def _check_hermitian(b):
+    """Refuse a block, or a stack of blocks, that is not hermitian."""
+    defect = np.linalg.norm(b - stack_adjoint(b), axis=(-2, -1))
+    if np.any(defect > _HERMITIAN_TOL * (1.0 + np.linalg.norm(b, axis=(-2, -1)))):
+        raise ContractViolationError("eigh requires a hermitian element")
+
+
+def _floor_at_zero(lam):
+    """Ascending eigenvalues (one row per block) with the values in
+    [-1e-10 * max|lambda|, 0) clamped to zero; anything more negative raises."""
+    tol = _NEGATIVE_EVAL_RTOL * np.max(np.abs(lam), axis=-1)
+    bad = lam[..., 0] < -tol
+    if np.any(bad):
+        i = np.unravel_index(np.argmax(bad), np.shape(bad))
+        raise ContractViolationError(
+            f"genuinely negative eigenvalue {float(lam[..., 0][i])!r} "
+            f"(tolerance {float(-tol[i])!r})")
+    return np.where(lam < 0.0, 0.0, lam)
+
+
 def eigh(h, cluster_tol=DEFAULT_CLUSTER_TOL):
     """Blockwise hermitian eigendecomposition with cluster bookkeeping."""
     vals, vecs, clusters = [], [], []
     for b in h.blocks:
-        scale = np.linalg.norm(b)
-        if np.linalg.norm(b - b.conj().T) > _HERMITIAN_TOL * (1.0 + scale):
-            raise ContractViolationError("eigh requires a hermitian element")
+        _check_hermitian(b)
         lam, u = np.linalg.eigh(0.5 * (b + b.conj().T))
         vals.append(lam)
         vecs.append(u)
         clusters.append(_cluster_indices(lam, cluster_tol))
     return SpectralDecomposition(h.algebra, tuple(vals), tuple(vecs),
                                  float(cluster_tol), tuple(clusters))
+
+
+def stack_adjoint(arr):
+    """Conjugate transpose of each block of a (g, k, k) stack."""
+    return np.conj(np.swapaxes(arr, -1, -2))
+
+
+def stack_function(U, values):
+    """U diag(values) U* for each block of stacked eigenvectors U."""
+    return (U * values[..., None, :]) @ stack_adjoint(U)
+
+
+def grouped_eigh(x):
+    """Eigenpairs of a hermitian element, one batched eigh per dim group.
+
+    Returns [(site indices, eigenvalues (g, k), vectors (g, k, k))] over
+    algebra.dim_groups, with the checks of eigh and floored_eigenvalues:
+    non-hermitian blocks and genuinely negative eigenvalues are refused,
+    tiny negative ones are clamped to zero.
+    """
+    out = []
+    for _, idx in x.algebra.dim_groups:
+        arr = np.stack([x.blocks[s] for s in idx])
+        _check_hermitian(arr)
+        lam, u = np.linalg.eigh(0.5 * (arr + stack_adjoint(arr)))
+        out.append((idx, _floor_at_zero(lam), u))
+    return out
 
 
 def floored_eigenvalues(spec, floor=None, shift=0.0):
@@ -367,12 +420,7 @@ def floored_eigenvalues(spec, floor=None, shift=0.0):
     """
     out = []
     for lam in spec.eigenvalues:
-        scale = float(np.max(np.abs(lam))) if lam.size else 0.0
-        tol = _NEGATIVE_EVAL_RTOL * scale
-        if lam.size and lam[0] < -tol:
-            raise ContractViolationError(
-                f"genuinely negative eigenvalue {lam[0]!r} (tolerance {-tol!r})")
-        lam = np.where(lam < 0.0, 0.0, lam)
+        lam = _floor_at_zero(lam)
         if shift:
             lam = lam + shift
         if floor is not None:

@@ -18,17 +18,22 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .algebra import (AlgebraElement, WeightedAlgebra, element_to_json,
-                      make_rng, p_norm, random_positive)
-from .entropy import bregman, entropy_vs_subalgebra, fisher_generator
+                      make_rng, p_norm, random_positive, stack_adjoint,
+                      stack_function)
+from .entropy import (block_bregman, bregman, entropy_vs_subalgebra,
+                      fisher_generator)
 from .errors import (ContractViolationError, DegenerateStateError, DomainError,
                      NumericalContractError)
-from .functions import power
+from .functions import divided_diff_grid, power
 from .models import (ConditionalExpectation, _base_spec, ampliate_generator,
                      bernoulli_laplace, martingale_subalgebra_expectations,
-                     random_transposition, semigroup_apply)
+                     random_transposition, semigroup_apply, site_apply)
 
 DEFAULT_T_GRID = (0.0, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0)
 DENOMINATOR_FLOOR = 1e-12
+# L-BFGS-B's relative-decrease stop; scipy's default (2.2e-9) stops k=2
+# searches measurably above their k=1 values
+LBFGS_FTOL = 1e-12
 
 
 def worker_count():
@@ -209,31 +214,33 @@ def known_bracket(A, f):
 
 
 class _RatioEngine:
-    """Batched surrogate for sobolev_ratio on stacked uniform blocks.
+    """sobolev_ratio and its gradient on stacked uniform blocks.
 
-    Used to keep simplex descent cheap; authoritative candidate values are
-    always recomputed through the public functions.
+    States are parametrized as rho = G G* + floor*1 with G given by the
+    real and imaginary parts of its entries, the coordinates the optimizer
+    moves.  The entropy and the Fisher form are computed as the public
+    functions compute them (Bregman sums, the site action on rho minus its
+    mean), so both keep their digits near the fixed points; authoritative
+    candidate values are still recomputed through sobolev_ratio.
     """
 
-    def __init__(self, A, f):
+    def __init__(self, A, f, floor):
         alg = A.algebra
         k = alg.uniform_dim
         if k is None:
             raise ContractViolationError("the search engine needs uniform block dims")
-        self.algebra = alg
         self.f = f
         self.m = alg.n_sites
         self.k = k
+        self.floor = float(floor)
         self.wk = np.asarray(alg.weights, dtype=float) / k
-        self._wkc = self.wk.astype(complex)
+        shape = (self.m, k, k)
         if A.site_matrix is not None:
             L = np.asarray(A.site_matrix)
-            self._apply = lambda arr: np.tensordot(L, arr, axes=(1, 0))
+            self._apply = lambda arr: site_apply(L, arr)
         else:
-            T = A.plain_matrix()
-            D = alg.coeff_dim
-            shape = (self.m, k, k)
-            self._apply = lambda arr: (T @ arr.reshape(D)).reshape(shape)
+            T_gen = A.plain_matrix()
+            self._apply = lambda arr: (T_gen @ arr.reshape(-1)).reshape(shape)
         E = A.expectation
         if E.kind == "partition":
             mu = np.asarray(alg.weights, dtype=float)
@@ -249,35 +256,65 @@ class _RatioEngine:
                     out[idx] = np.tensordot(w, arr[idx], axes=(0, 0))
                 return out
         elif E.kind == "full":
-            wkc = self._wkc
+            wkc = self.wk.astype(complex)
             eye = np.eye(k, dtype=complex)
 
             def eapply(arr):
                 return np.einsum("s,saa->", wkc, arr) * np.broadcast_to(
                     eye, arr.shape)
         else:
-            T = E.matrix()
-            D = alg.coeff_dim
-            shape = (self.m, k, k)
+            T_exp = E.matrix()
 
             def eapply(arr):
-                return (T @ arr.reshape(D)).reshape(shape)
+                return (T_exp @ arr.reshape(-1)).reshape(shape)
         self._eapply = eapply
 
-    def ratio(self, arr):
+    def state(self, x):
+        """rho = G G* + floor*1 for the real coordinates x of G."""
+        return self._state(self._factor(x))
+
+    def _factor(self, x):
+        n = x.size // 2
+        return (x[:n] + 1j * x[n:]).reshape(self.m, self.k, self.k)
+
+    def _state(self, G):
+        return G @ stack_adjoint(G) + self.floor * np.eye(self.k)
+
+    def _terms(self, arr):
+        """(R, D, spectral data) at a positive stacked state."""
         f = self.f
         lam, U = np.linalg.eigh(arr)
         lam = np.maximum(lam, 0.0)
-        elam = np.maximum(np.linalg.eigh(self._eapply(arr))[0], 0.0)
-        den = float(np.sum(self.wk[:, None] * f.eval_order(lam, 0))
-                    - np.sum(self.wk[:, None] * f.eval_order(elam, 0)))
+        mu, V = np.linalg.eigh(self._eapply(arr))
+        mu = np.maximum(mu, 0.0)
+        den = float(self.wk @ block_bregman(f, lam, U, mu, V))
         if not den > DENOMINATOR_FLOOR:
             raise DegenerateStateError("degenerate entropy denominator")
-        fp = np.einsum("sab,sb,scb->sac", U,
-                       f.eval_order(lam, 1).astype(complex), U.conj())
-        num = float(np.real(np.einsum("s,sab,sba->", self._wkc,
-                                      self._apply(arr), fp)))
-        return num / den
+        fp = stack_function(U, f.eval_order(lam, 1))
+        a = self._apply(arr)
+        num = float(np.real(np.einsum("s,sab,sba->", self.wk, a, fp)))
+        return num / den, den, (lam, U, mu, V, a, fp)
+
+    def ratio(self, arr):
+        return self._terms(arr)[0]
+
+    def value_and_grad(self, x):
+        """The ratio R at state(x) and its gradient in x.
+
+        With rho = G G* + floor: grad I = A(f'(rho)) + U (f'^[1] o U* A(rho) U) U*
+        (Daleckii-Krein), grad D = f'(rho) - f'(E rho), M = (grad I - R grad D)/D,
+        and the gradient in (Re G, Im G) is 2 (w_s/k) (M G)_s.
+        """
+        f = self.f
+        G = self._factor(x)
+        R, den, (lam, U, mu, V, a, fp) = self._terms(self._state(G))
+        Uh = stack_adjoint(U)
+        dk = divided_diff_grid(f, 2, lam, lam)
+        grad_i = self._apply(fp) + U @ (dk * (Uh @ a @ U)) @ Uh
+        grad_d = fp - stack_function(V, f.eval_order(mu, 1))
+        M = (grad_i - R * grad_d) / den
+        N = (2.0 * self.wk)[:, None, None] * ((0.5 * (M + stack_adjoint(M))) @ G)
+        return R, np.concatenate([N.real.ravel(), N.imag.ravel()])
 
 
 # -- constant search -----------------------------------------------------------
@@ -307,25 +344,18 @@ def estimate_constant(A, f, ampliation=1, budget=None):
 
     Two ingredients: a perturbative scan along kernel-gap eigenvectors on
     both sides of the identity (which pins the small-perturbation value, an
-    upper bound of twice the gap), and simplex descent from random interior
-    states.  Every retained candidate is re-evaluated through sobolev_ratio,
-    and the reported estimate is the minimum of those values, so the witness
-    reproduces it exactly.
+    upper bound of twice the gap), and L-BFGS-B descent on the ratio with
+    its analytic Daleckii-Krein gradient from budget.restarts seeded random
+    interior states.  The scan's lowest state and each restart's end point
+    are re-evaluated through sobolev_ratio, and the reported estimate is the
+    minimum of those values, so the witness reproduces it exactly.
     """
     budget = budget or OptimizerBudget()
     Ak = ampliate_generator(A, int(ampliation))
     alg = Ak.algebra
-    engine = _RatioEngine(Ak, f)
+    engine = _RatioEngine(Ak, f, budget.state_floor)
     m, k = engine.m, engine.k
-    floor = float(budget.state_floor)
     eye = np.broadcast_to(np.eye(k, dtype=complex), (m, k, k))
-    nk2 = m * k * k
-
-    def arr_from_params(x):
-        g = x[:nk2] + 1j * x[nk2:]
-        G = g.reshape(m, k, k)
-        return G @ np.conj(np.transpose(G, (0, 2, 1))) + floor * eye
-
     counters = {"samples": 0, "rejected": 0}
 
     def public_value(arr):
@@ -337,8 +367,10 @@ def estimate_constant(A, f, ampliation=1, budget=None):
             counters["rejected"] += 1
             return None, None
 
-    # perturbative scan: candidates on both sides of the identity
+    # perturbative scan on both sides of the identity; the engine ranks the
+    # states and only the lowest one becomes a candidate
     candidates = []  # (value, state)
+    scan_best = (math.inf, None)
     for phi in _gap_directions(Ak, budget):
         arrphi = phi.stacked()
         for eps in budget.curve_eps:
@@ -346,63 +378,45 @@ def estimate_constant(A, f, ampliation=1, budget=None):
                 arr = eye + (sign * float(eps)) * arrphi
                 if float(np.linalg.eigvalsh(arr).min()) < 1e-8:
                     continue
-                val, state = public_value(arr)
-                if val is not None:
-                    candidates.append((val, state))
+                counters["samples"] += 1
+                try:
+                    val = engine.ratio(arr)
+                except (DegenerateStateError, DomainError):
+                    counters["rejected"] += 1
+                    continue
+                if val < scan_best[0]:
+                    scan_best = (val, arr)
+    if scan_best[1] is not None:
+        val, state = public_value(scan_best[1])
+        if val is not None:
+            candidates.append((val, state))
 
-    # simplex descent: random interior starts, then shrunken simplices
-    # around the best point found so far
-    def run_simplex(task):
-        x0, scale = task
+    def descend(ridx):
+        x0 = make_rng(budget.seed, 7, ridx).standard_normal(2 * m * k * k) * 0.5
         local = [0, 0]
 
         def objective(x):
             local[0] += 1
             try:
-                return engine.ratio(arr_from_params(x))
+                return engine.value_and_grad(x)
             except (DegenerateStateError, DomainError):
                 local[1] += 1
-                return 1e6
+                return 1e6, np.zeros_like(x)
 
-        n = x0.size
-        sim = np.empty((n + 1, n))
-        sim[0] = x0
-        h = scale * np.where(np.abs(x0) > 0.25, np.abs(x0), 0.25)
-        for i in range(n):
-            sim[i + 1] = x0
-            sim[i + 1, i] += h[i]
-        res = minimize(objective, x0, method="Nelder-Mead",
+        res = minimize(objective, x0, method="L-BFGS-B", jac=True,
                        options={"maxiter": budget.iterations,
-                                "maxfev": 2 * budget.iterations + n + 2,
-                                "xatol": budget.convergence,
-                                "fatol": budget.convergence,
-                                "initial_simplex": sim})
+                                "gtol": budget.convergence,
+                                "ftol": LBFGS_FTOL})
         return np.asarray(res.x, dtype=float), local[0], local[1]
 
-    def random_start(ridx):
-        rng = make_rng(budget.seed, 7, ridx)
-        return rng.standard_normal(2 * nk2) * 0.5
-
     restart_values = []
-
-    def absorb(results):
-        for x, n_evals, n_rej in results:
-            counters["samples"] += n_evals
-            counters["rejected"] += n_rej
-            val, state = public_value(arr_from_params(x))
-            restart_values.append(val)
-            if val is not None:
-                candidates.append((val, state))
-
-    n_phase1 = (budget.restarts + 1) // 2 if budget.restarts else 0
-    tasks = [(random_start(r), 0.5 ** r) for r in range(n_phase1)]
-    absorb(parallel_map(run_simplex, tasks))
-
-    if budget.restarts > n_phase1 and candidates:
-        pivot = min(range(len(candidates)), key=lambda i: candidates[i][0])
-        x_piv = _params_from_state(candidates[pivot][1], floor)
-        tasks = [(x_piv, 0.5 ** r) for r in range(n_phase1, budget.restarts)]
-        absorb(parallel_map(run_simplex, tasks))
+    for x, n_evals, n_rej in parallel_map(descend, range(budget.restarts)):
+        counters["samples"] += n_evals
+        counters["rejected"] += n_rej
+        val, state = public_value(engine.state(x))
+        restart_values.append(val)
+        if val is not None:
+            candidates.append((val, state))
 
     if not candidates:
         raise DegenerateStateError("every evaluated state was rejected")
@@ -423,15 +437,6 @@ def estimate_constant(A, f, ampliation=1, budget=None):
         n_samples=counters["samples"], n_rejected=counters["rejected"],
         restart_values=tuple(restart_values), bracket=known_bracket(Ak, f),
         seed=int(budget.seed))
-
-
-def _params_from_state(state, floor):
-    arr = np.stack(state.blocks)
-    lam, U = np.linalg.eigh(arr)
-    s = np.sqrt(np.maximum(lam - floor, 1e-12))
-    G = (U * s[:, None, :]) @ np.conj(np.transpose(U, (0, 2, 1)))
-    g = G.reshape(-1)
-    return np.concatenate([g.real, g.imag])
 
 
 # -- decay and replay checks ---------------------------------------------------

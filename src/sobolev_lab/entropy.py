@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (AlgebraElement, WeightedAlgebra, eigh, floored_eigenvalues,
-                      inner, matrix_function, pair_trace, trace)
+                      grouped_eigh, inner, stack_adjoint, stack_function)
 from .doi import DEFAULT_KERNEL_FLOOR, schur_q
 from .errors import AlgebraMismatchError, ContractViolationError
-from .functions import divided_diff_grid
+from .functions import bregman_gap, divided_diff_grid
 
 DEFAULT_EPSILON = 1e-8
 
@@ -35,6 +35,38 @@ class EntropyValue:
         return {"value": float(self.value), "epsilon": float(self.epsilon), "f": self.f}
 
 
+def block_bregman(f, lam, U, mu, V, kernel_rule=False):
+    """Per-block tr(f(rho) - f(sigma) - f'(sigma)(rho - sigma)) from stacked
+    eigenpairs (lam, U) of rho and (mu, V) of sigma.
+
+    Summed as sum_ij |<u_i, v_j>|^2 B_f(lam_i, mu_j) with the Bregman gap
+    B_f of functions.bregman_gap, so no two O(1) traces are subtracted.
+    With kernel_rule, pairs with mu_j = 0 contribute f(lam_i) - f(0): for a
+    conditional expectation ker(E rho) lies in ker(rho), so the linear term
+    vanishes there even where f'(0) is undefined.
+    """
+    overlap = np.abs(stack_adjoint(U) @ V) ** 2
+    X = np.broadcast_to(lam[..., :, None], overlap.shape)
+    Y = np.broadcast_to(mu[..., None, :], overlap.shape)
+    zero = (Y == 0.0) if kernel_rule else np.zeros(overlap.shape, dtype=bool)
+    gaps = np.empty(overlap.shape)
+    if zero.any():
+        gaps[zero] = f.eval_order(X[zero], 0) - f.eval_order(np.zeros(1), 0)
+    gaps[~zero] = bregman_gap(f, X[~zero], Y[~zero])
+    return np.sum(overlap * gaps, axis=(-2, -1))
+
+
+def _bregman_trace(f, rho, sigma, shift=0.0, kernel_rule=False):
+    """tau(f(rho) - f(s) - f'(s)(rho - s)) for s = sigma + shift*1, with one
+    batched eigendecomposition per dim group of each argument."""
+    mu_w = np.asarray(rho.algebra.weights, dtype=float)
+    total = 0.0
+    for (idx, lam, U), (_, mu, V) in zip(grouped_eigh(rho), grouped_eigh(sigma)):
+        per_block = block_bregman(f, lam, U, mu + shift, V, kernel_rule)
+        total += float(mu_w[idx] @ per_block) / U.shape[-1]
+    return total
+
+
 def bregman(f, rho, sigma, epsilon=0.0):
     """d^f(rho || sigma + eps*1) = tau(f(rho) - f(sig_eps) - (rho - sig_eps) f'(sig_eps)).
 
@@ -45,28 +77,32 @@ def bregman(f, rho, sigma, epsilon=0.0):
         raise AlgebraMismatchError("bregman arguments live on different algebras")
     if epsilon < 0.0:
         raise ContractViolationError("epsilon must be nonnegative")
-    spec_rho = eigh(rho)
-    spec_sigma = eigh(sigma)
-    f_rho = trace(matrix_function(f, spec_rho))
-    f_sigma = trace(matrix_function(f, spec_sigma, shift=epsilon))
-    df_sigma = matrix_function(f, spec_sigma, order=1, shift=epsilon)
-    gap = rho - sigma
-    if epsilon:
-        gap = gap - rho.algebra.scalar(epsilon)
-    value = f_rho - f_sigma - pair_trace(gap, df_sigma)
-    return EntropyValue(float(value.real), float(epsilon), f.label)
+    return EntropyValue(_bregman_trace(f, rho, sigma, shift=epsilon),
+                        float(epsilon), f.label)
 
 
 def entropy_vs_subalgebra(f, rho, expectation):
-    """d^f_K(rho) = tau(f(rho) - f(E rho)) for the conditional expectation E."""
+    """d^f_K(rho) = tau(f(rho) - f(E rho)) for the conditional expectation E.
+
+    Computed as the Bregman sum d^f(rho || E rho), which equals it because
+    tau(f'(E rho)(rho - E rho)) = 0 for f'(E rho) in the range of E; near
+    the fixed points it keeps the digits that the difference of the two
+    traces loses.  Non-hermitian input and genuinely negative eigenvalues
+    are refused.
+    """
     e_rho = expectation.apply(rho).hermitian_part()
-    value = trace(matrix_function(f, rho)) - trace(matrix_function(f, e_rho))
-    return EntropyValue(float(value.real), 0.0, f.label)
+    return EntropyValue(_bregman_trace(f, rho, e_rho, kernel_rule=True),
+                        0.0, f.label)
 
 
-def _fisher_at_shift(a_rho, spec, f, shift):
-    df = matrix_function(f, spec, order=1, shift=shift)
-    return float(pair_trace(a_rho, df).real)
+def _fisher_at_shift(a_rho, groups, f, shift):
+    w = np.asarray(a_rho.algebra.weights, dtype=float)
+    total = 0.0
+    for idx, lam, U in groups:
+        df = stack_function(U, f.eval_order(lam + shift, 1))
+        a = np.stack([a_rho.blocks[s] for s in idx])
+        total += float(np.real(np.einsum("s,sab,sba->", w[idx], a, df))) / U.shape[-1]
+    return total
 
 
 def fisher_generator(generator, f, rho, epsilon=0.0):
@@ -79,15 +115,13 @@ def fisher_generator(generator, f, rho, epsilon=0.0):
     if epsilon < 0.0:
         raise ContractViolationError("epsilon must be nonnegative")
     a_rho = generator.apply(rho)
-    spec = eigh(rho)
-    floored = floored_eigenvalues(spec)
-    min_eig = min(float(lam[0]) for lam in floored)
+    groups = grouped_eigh(rho)
     if epsilon == 0.0:
-        return _fisher_at_shift(a_rho, spec, f, 0.0)
-    if min_eig > 0.0:
-        return _fisher_at_shift(a_rho, spec, f, epsilon)
-    v_eps = _fisher_at_shift(a_rho, spec, f, epsilon)
-    v_quarter = _fisher_at_shift(a_rho, spec, f, epsilon / 4.0)
+        return _fisher_at_shift(a_rho, groups, f, 0.0)
+    if min(float(lam[:, 0].min()) for _, lam, _ in groups) > 0.0:
+        return _fisher_at_shift(a_rho, groups, f, epsilon)
+    v_eps = _fisher_at_shift(a_rho, groups, f, epsilon)
+    v_quarter = _fisher_at_shift(a_rho, groups, f, epsilon / 4.0)
     return (4.0 * v_quarter - v_eps) / 3.0
 
 

@@ -147,6 +147,15 @@ def _as_cells(E):
     return None
 
 
+def site_apply(L, arr):
+    """L acting on the site index of an (m, k, k) stack.
+
+    L is applied to arr minus its mean block.  Rows of L sum to zero, so the
+    result is the same, but a nearly constant stack keeps its digits.
+    """
+    return np.tensordot(L, arr - arr.mean(axis=0), axes=(1, 0))
+
+
 def _check_moves(n_sites, moves):
     """Moves, (source site, target site, rate) triples, must come in
     reversible pairs and connect all n_sites configurations."""
@@ -191,9 +200,9 @@ class GeneratorHandle:
     """Self-adjoint positive generator of a trace-symmetric Markov semigroup.
 
     The action is whichever of site_matrix (block mixing with one scalar per
-    site pair), a dense plain-coefficient matrix, or a python callable was
-    given.  Dense spectral data is cached lazily behind a lock and refused
-    above MAX_DENSE_COEFF_DIM coefficients.
+    site pair, rows summing to zero), a dense plain-coefficient matrix, or a
+    python callable was given.  Dense spectral data is cached lazily behind
+    a lock and refused above MAX_DENSE_COEFF_DIM coefficients.
     """
 
     def __init__(self, algebra, *, apply_fn=None, site_matrix=None, plain=None,
@@ -208,6 +217,10 @@ class GeneratorHandle:
                 raise ContractViolationError("site matrix shape does not match the algebra")
             if algebra.uniform_dim is None:
                 raise ContractViolationError("site-matrix generators need uniform dims")
+            if np.max(np.abs(site_matrix.sum(axis=1))) > 1e-12 * (
+                    1.0 + np.max(np.abs(site_matrix))):
+                raise ContractViolationError(
+                    "site matrix rows must sum to zero (constants are fixed)")
         self.algebra = algebra
         self.site_matrix = site_matrix
         self._apply_fn = apply_fn
@@ -225,8 +238,7 @@ class GeneratorHandle:
         if x.algebra != self.algebra:
             raise AlgebraMismatchError("generator fed a foreign element")
         if self.site_matrix is not None:
-            arr = np.stack(x.blocks)
-            out = np.tensordot(self.site_matrix, arr, axes=(1, 0))
+            out = site_apply(self.site_matrix, np.stack(x.blocks))
             return AlgebraElement.from_stacked(self.algebra, out)
         if self._apply_fn is not None:
             return self._apply_fn(x)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sobolev_lab import (
+    AlgebraElement,
     CheckReport,
     ConditionalExpectation,
     ContractViolationError,
@@ -14,6 +15,7 @@ from sobolev_lab import (
     DomainError,
     OptimizerBudget,
     WeightedAlgebra,
+    ampliate_generator,
     bernoulli_laplace,
     decay_check,
     depolarizing,
@@ -32,7 +34,7 @@ from sobolev_lab import (
     sobolev_ratio,
 )
 from sobolev_lab.algebra import element_from_json
-from sobolev_lab.certify import worker_count
+from sobolev_lab.certify import _RatioEngine, worker_count
 from sobolev_lab.functions import power, xlogx
 
 LIGHT = OptimizerBudget(restarts=6, iterations=400, seed=0)
@@ -71,6 +73,56 @@ def test_ratio_rejects_fixed_points():
     rho = A.expectation.apply(random_positive(A.algebra, floor=1e-2, seed=1))
     with pytest.raises(DegenerateStateError):
         sobolev_ratio(A, power(1.5), rho.hermitian_part())
+
+
+def test_ratio_near_the_identity_against_mpmath():
+    # rho_s = 1 + 1e-5 x_s: entropy and Fisher form are ~1e-11 while their
+    # terms are O(1); a 50-digit evaluation of the same float state
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    A = bernoulli_laplace(4, 2)
+    m = A.algebra.n_sites
+    rho = 1.0 + 1e-5 * np.random.default_rng(0).standard_normal(m)
+    state = A.algebra.from_scalars(rho)
+    r = [mp.mpf(float(v)) for v in rho]
+    mean = mp.fsum(r) / m
+    Lr = [mp.fsum(mp.mpf(float(A.site_matrix[s, t])) * r[t] for t in range(m))
+          for s in range(m)]
+    for f, F, dF in ((power(1.5), lambda t: t ** mp.mpf(1.5),
+                      lambda t: mp.mpf(1.5) * mp.sqrt(t)),
+                     (xlogx(), lambda t: t * mp.log(t), lambda t: mp.log(t) + 1)):
+        entropy = mp.fsum(F(v) for v in r) / m - F(mean)
+        fisher = mp.fsum(lv * dF(v) for lv, v in zip(Lr, r)) / m
+        exact = float(fisher / entropy)
+        assert sobolev_ratio(A, f, state) == pytest.approx(exact, rel=1e-9)
+
+
+# -- the search engine -----------------------------------------------------------
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("f", [power(1.5), xlogx()], ids=["power", "xlogx"])
+@pytest.mark.parametrize("walk", ["rt3", "bl31"])
+def test_engine_gradient_matches_finite_differences(walk, f, k):
+    A = random_transposition(3) if walk == "rt3" else bernoulli_laplace(3, 1)
+    Ak = ampliate_generator(A, k)
+    engine = _RatioEngine(Ak, f, 1e-8)
+    x = make_rng(70, k).standard_normal(2 * engine.m * k * k) * 0.5
+    value, grad = engine.value_and_grad(x)
+    state = AlgebraElement.from_stacked(Ak.algebra, engine.state(x))
+    assert value == pytest.approx(sobolev_ratio(Ak, f, state.hermitian_part()),
+                                  rel=1e-12)
+
+    def central(i, h):
+        e = np.zeros_like(x)
+        e[i] = h
+        return (engine.value_and_grad(x + e)[0]
+                - engine.value_and_grad(x - e)[0]) / (2.0 * h)
+
+    # Richardson extrapolation of the central difference, O(h^4)
+    h = 1e-4
+    fd = np.array([(4.0 * central(i, h / 2) - central(i, h)) / 3.0
+                   for i in range(x.size)])
+    assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(grad)
 
 
 # -- brackets ------------------------------------------------------------------
@@ -130,6 +182,19 @@ def test_estimate_is_deterministic():
 def test_estimate_rejects_almost_nothing():
     res = estimate_constant(random_transposition(3), xlogx(), budget=LIGHT)
     assert res.n_rejected <= 0.01 * res.n_samples
+
+
+@pytest.mark.parametrize("walk,f", [
+    ("rt3", power(1.5)), ("rt3", xlogx()), ("bl31", power(1.25))],
+    ids=["rt3-power1.5", "rt3-xlogx", "bl31-power1.25"])
+def test_ampliated_estimate_is_not_above_the_unampliated(walk, f):
+    # the k=1 states lift into the k=2 algebra with the same ratio
+    A = random_transposition(3) if walk == "rt3" else bernoulli_laplace(3, 1)
+    base = min(estimate_constant(A, f, budget=OptimizerBudget(
+        restarts=LIGHT.restarts, iterations=LIGHT.iterations, seed=seed)
+    ).estimated_lambda for seed in (0, 1))
+    lifted = estimate_constant(A, f, ampliation=2, budget=LIGHT)
+    assert lifted.estimated_lambda <= base * (1.0 + 1e-9)
 
 
 def test_estimate_model_roundtrip():

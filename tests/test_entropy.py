@@ -147,6 +147,31 @@ def test_subalgebra_entropy_matches_bregman():
             assert a == pytest.approx(b, abs=1e-10)
 
 
+def test_subalgebra_entropy_on_a_singular_average():
+    # every block diag(a_s, 0): E rho is singular, and the pairs against its
+    # kernel contribute f(lam) - f(0), which needs no f'(0)
+    from sobolev_lab import ampliate_generator, random_transposition
+    A = ampliate_generator(random_transposition(3), 2)
+    a = [0.5, 1.0, 1.5, 2.0, 3.0, 4.0]
+    rho = AlgebraElement(A.algebra, [np.diag([v, 0.0]) for v in a])
+    # the values of tau(f(rho)) - tau(f(E rho)) as two traces
+    for f, expected in ((xlogx(), 0.18093054806389264),
+                        (power(1.5), 0.18705729138802796)):
+        got = entropy_vs_subalgebra(f, rho, A.expectation).value
+        assert got == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+def test_subalgebra_entropy_refuses_bad_input():
+    alg = WeightedAlgebra.block_sites(2, 2)
+    E = ConditionalExpectation.from_partition(alg, ((0, 1),))
+    skew = AlgebraElement(alg, [np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2)])
+    with pytest.raises(ContractViolationError):
+        entropy_vs_subalgebra(power(1.5), skew, E)
+    negative = alg.from_scalars([-1.0, 1.0])
+    with pytest.raises(ContractViolationError):
+        entropy_vs_subalgebra(power(1.5), negative, E)
+
+
 def test_martingale_additivity():
     """d(rho || sigma) = d_K(rho) + d(E rho || sigma) for sigma inside K."""
     alg = WeightedAlgebra.block_sites(6, 2)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sobolev_lab import ContractViolationError, DomainError, function_from_spec
-from sobolev_lab.functions import divided_diff, log_fn, power, xlogx
+from sobolev_lab.functions import (bregman_gap, divided_diff, divided_diff_grid,
+                                  log_fn, power, xlogx)
 
 positive = st.floats(min_value=1e-3, max_value=1e3,
                      allow_nan=False, allow_infinity=False)
@@ -91,3 +92,36 @@ def test_spec_roundtrip():
         assert back.label == f.label
     with pytest.raises(ContractViolationError):
         function_from_spec({"tag": "exp"})
+
+
+def test_bregman_gap_against_mpmath():
+    # both branches, including the quadrature right below the switch at
+    # |x - y| = 0.05 y and gaps small enough to cancel the three terms
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    rel = np.array([1e-12, -1e-9, 1e-6, -1e-3, 0.049, -0.049, 0.051, 0.5, 3.0, -0.9])
+    for f, F in ((power(1.5), lambda t: t ** mp.mpf(1.5)),
+                 (xlogx(), lambda t: t * mp.log(t))):
+        for y in (1e-6, 0.3, 7.0):
+            x = y * (1.0 + rel)
+            got = bregman_gap(f, x, np.full(x.shape, y))
+            for xi, gi in zip(x, got):
+                X, Y = mp.mpf(float(xi)), mp.mpf(y)
+                exact = F(X) - F(Y) - mp.diff(F, Y) * (X - Y)
+                assert abs(gi - exact) <= 1e-12 * abs(exact)
+
+
+def test_bregman_gap_needs_the_derivative_at_y():
+    with pytest.raises(DomainError):
+        bregman_gap(xlogx(), 1.0, 0.0)
+    assert bregman_gap(power(1.5), 4.0, 0.0) == pytest.approx(8.0, rel=1e-15)
+
+
+def test_divided_diff_grid_over_stacked_blocks():
+    rng = np.random.default_rng(0)
+    xs = rng.uniform(0.1, 3.0, (5, 3))
+    ys = rng.uniform(0.1, 3.0, (5, 3))
+    grid = divided_diff_grid(power(1.5), 2, xs, ys)
+    assert grid.shape == (5, 3, 3)
+    for s in range(5):
+        assert np.array_equal(grid[s], divided_diff_grid(power(1.5), 2, xs[s], ys[s]))

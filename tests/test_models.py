@@ -371,3 +371,23 @@ def test_export_matrix_csv_roundtrip(tmp_path):
     M = np.array([[complex(row[2 * j], row[2 * j + 1]) for j in range(m)]
                   for row in rows])
     assert np.linalg.norm(M - A.orth_matrix()) <= 1e-9 * (1.0 + np.linalg.norm(M))
+
+
+def test_site_matrix_rows_must_sum_to_zero():
+    from sobolev_lab import GeneratorHandle
+    with pytest.raises(ContractViolationError):
+        GeneratorHandle(WeightedAlgebra.commutative(2),
+                        site_matrix=[[1.0, -0.5], [-0.5, 1.0]])
+
+
+def test_site_action_keeps_its_digits_near_constants():
+    # near = 1 + e x is held exactly as 1 + (near - 1), and L kills the 1,
+    # so the action is L (near - 1) to the last digit of the small part
+    A = bernoulli_laplace(4, 2, 2)
+    x = random_positive(A.algebra, floor=1e-3, seed=3)
+    e = 1e-7
+    near = A.algebra.identity() + x * e
+    got = np.stack(A.apply(near).blocks)
+    small = near.stacked() - np.eye(2)
+    expected = np.tensordot(A.site_matrix, small, axes=(1, 0))
+    assert np.allclose(got, expected, rtol=0, atol=1e-13 * e)
