@@ -129,19 +129,28 @@ class WeightedAlgebra:
         except ValueError:
             raise KeyError(f"no site labelled {label!r}") from None
 
+    @cached_property
+    def site_slots(self):
+        """(dim group, position in that group's stack) of each site."""
+        slots = [None] * self.n_sites
+        for g, (_, idx) in enumerate(self.dim_groups):
+            for j, s in enumerate(idx):
+                slots[s] = (g, j)
+        return tuple(slots)
+
     # -- element builders --------------------------------------------------
 
     def identity(self):
-        return AlgebraElement(self, [np.eye(k, dtype=complex) for k in self.dims],
-                              hermitian=True)
+        return self.scalar(1.0)
 
     def zero(self):
-        return AlgebraElement(self, [np.zeros((k, k), dtype=complex) for k in self.dims],
-                              hermitian=True)
+        return self.scalar(0.0)
 
     def scalar(self, c):
         """c times the identity."""
-        return AlgebraElement(self, [c * np.eye(k, dtype=complex) for k in self.dims])
+        return AlgebraElement._of(self, tuple(
+            c * np.broadcast_to(np.eye(k, dtype=complex), (len(idx), k, k))
+            for k, idx in self.dim_groups))
 
     def from_scalars(self, values):
         """Diagonal element with the given scalar on each site (dims must be 1
@@ -156,7 +165,10 @@ class WeightedAlgebra:
 
     def vec(self, x, orthonormal=True):
         """Flatten an element to coefficients (row-major per block)."""
-        v = np.concatenate([b.reshape(-1) for b in x.blocks])
+        if len(x.stacks) == 1:
+            v = x.stacks[0].reshape(-1)
+        else:
+            v = np.concatenate([b.reshape(-1) for b in x.blocks])
         return v * self.scales if orthonormal else v
 
     def unvec(self, v, orthonormal=True):
@@ -165,43 +177,72 @@ class WeightedAlgebra:
             raise ContractViolationError("coefficient vector has wrong length")
         if orthonormal:
             v = v / self.scales
-        blocks = []
-        for k, off in zip(self.dims, self.offsets):
-            blocks.append(v[off:off + k * k].reshape(k, k))
-        return AlgebraElement(self, blocks)
+        if self.uniform_dim is not None:
+            k = self.uniform_dim
+            return AlgebraElement(self, v.reshape(self.n_sites, k, k))
+        return AlgebraElement(self, [v[off:off + k * k].reshape(k, k)
+                                     for k, off in zip(self.dims, self.offsets)])
 
 
 class AlgebraElement:
-    """Immutable element of a WeightedAlgebra, stored as per-site blocks."""
+    """Immutable element of a WeightedAlgebra.
 
-    __slots__ = ("algebra", "blocks")
+    The blocks are stored as stacks: one (g, k, k) array per entry of
+    algebra.dim_groups, holding the blocks of that group's g sites of dim k.
+    The constructor takes per-site blocks, or an (n_sites, k, k) array when
+    the dims are uniform, and copies its input once.  blocks gives read-only
+    per-site views of the stacks, built on first use.
+    """
 
-    def __init__(self, algebra, blocks, hermitian=None, positive=None):
-        blocks = tuple(np.array(b, dtype=complex, copy=True) for b in blocks)
-        if len(blocks) != algebra.n_sites:
-            raise ContractViolationError(
-                f"expected {algebra.n_sites} blocks, got {len(blocks)}")
-        for b, k in zip(blocks, algebra.dims):
-            if b.shape != (k, k):
-                raise ContractViolationError(f"block shape {b.shape} does not match dim {k}")
+    __slots__ = ("algebra", "stacks", "_blocks")
+
+    def __init__(self, algebra, blocks, hermitian=None):
+        k = algebra.uniform_dim
+        if isinstance(blocks, np.ndarray) and blocks.ndim == 3:
+            if k is None or blocks.shape != (algebra.n_sites, k, k):
+                raise ContractViolationError(
+                    f"stack shape {blocks.shape} does not match the algebra")
+            stacks = (np.array(blocks, dtype=complex),)
+        else:
+            blocks = list(blocks)
+            if len(blocks) != algebra.n_sites:
+                raise ContractViolationError(
+                    f"expected {algebra.n_sites} blocks, got {len(blocks)}")
+            for b, d in zip(blocks, algebra.dims):
+                if np.shape(b) != (d, d):
+                    raise ContractViolationError(
+                        f"block shape {np.shape(b)} does not match dim {d}")
+            stacks = tuple(np.array([blocks[s] for s in idx], dtype=complex)
+                           for _, idx in algebra.dim_groups)
         if hermitian:
-            for b in blocks:
-                scale = np.linalg.norm(b)
-                if np.linalg.norm(b - b.conj().T) > _HERMITIAN_TOL * (1.0 + scale):
-                    raise ContractViolationError("block fails the declared hermitian flag")
-        if positive:
-            for b in blocks:
-                scale = np.linalg.norm(b)
-                lam = np.linalg.eigvalsh(0.5 * (b + b.conj().T))
-                if lam.size and lam[0] < -_NEGATIVE_EVAL_RTOL * (1.0 + scale):
-                    raise ContractViolationError("block fails the declared positive flag")
-        for b in blocks:
-            b.setflags(write=False)
+            for arr in stacks:
+                _hermitian(arr)
+        self._set(algebra, stacks)
+
+    @classmethod
+    def _of(cls, algebra, stacks):
+        """Element that takes ownership of freshly computed stacks (no copy)."""
+        x = object.__new__(cls)
+        x._set(algebra, stacks)
+        return x
+
+    def _set(self, algebra, stacks):
+        for arr in stacks:
+            arr.setflags(write=False)
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "stacks", stacks)
+        object.__setattr__(self, "_blocks", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElement is immutable")
+
+    @property
+    def blocks(self):
+        """Read-only per-site views of the stacks."""
+        if self._blocks is None:
+            object.__setattr__(self, "_blocks", tuple(
+                self.stacks[g][j] for g, j in self.algebra.site_slots))
+        return self._blocks
 
     # -- helpers -----------------------------------------------------------
 
@@ -209,65 +250,61 @@ class AlgebraElement:
         if self.algebra != other.algebra:
             raise AlgebraMismatchError("operands live on different algebras")
 
-    def stacked(self):
-        """Blocks stacked to an (n_sites, k, k) array; uniform dims only."""
-        if not self.algebra.uniform_dim:
-            raise ContractViolationError("stacked() requires uniform block dims")
-        return np.stack(self.blocks)
+    def _map(self, fn):
+        return AlgebraElement._of(self.algebra, tuple(fn(a) for a in self.stacks))
 
-    @staticmethod
-    def from_stacked(algebra, arr):
-        return AlgebraElement(algebra, [arr[i] for i in range(algebra.n_sites)])
+    def _zip(self, other, fn):
+        self._check_same(other)
+        return AlgebraElement._of(self.algebra, tuple(
+            fn(a, b) for a, b in zip(self.stacks, other.stacks)))
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        self._check_same(other)
-        return AlgebraElement(self.algebra, [a + b for a, b in zip(self.blocks, other.blocks)])
+        return self._zip(other, np.add)
 
     def __sub__(self, other):
-        self._check_same(other)
-        return AlgebraElement(self.algebra, [a - b for a, b in zip(self.blocks, other.blocks)])
+        return self._zip(other, np.subtract)
 
     def __neg__(self):
-        return AlgebraElement(self.algebra, [-b for b in self.blocks])
+        return self._map(np.negative)
 
     def __mul__(self, c):
-        return AlgebraElement(self.algebra, [c * b for b in self.blocks])
+        return self._map(lambda a: c * a)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
-        self._check_same(other)
-        return AlgebraElement(self.algebra, [a @ b for a, b in zip(self.blocks, other.blocks)])
+        return self._zip(other, np.matmul)
 
     def adjoint(self):
-        return AlgebraElement(self.algebra, [b.conj().T for b in self.blocks])
+        return self._map(stack_adjoint)
 
     def hermitian_part(self):
-        return AlgebraElement(self.algebra, [0.5 * (b + b.conj().T) for b in self.blocks])
+        return self._map(lambda a: 0.5 * (a + stack_adjoint(a)))
 
     # -- diagnostics -------------------------------------------------------
 
     def norm(self):
         """Global Frobenius norm of the block-diagonal matrix (unnormalized)."""
-        return math.sqrt(sum(float(np.sum(np.abs(b) ** 2)) for b in self.blocks))
+        return math.sqrt(sum(float(np.sum(np.abs(a) ** 2)) for a in self.stacks))
 
     def op_norm(self):
-        return max(float(np.linalg.norm(b, 2)) for b in self.blocks)
+        return max(float(np.linalg.norm(a, 2, axis=(-2, -1)).max()) for a in self.stacks)
 
     def is_hermitian(self, tol=1e-10):
-        return all(np.linalg.norm(b - b.conj().T) <= tol * (1.0 + np.linalg.norm(b))
-                   for b in self.blocks)
+        return all(np.all(np.linalg.norm(a - stack_adjoint(a), axis=(-2, -1))
+                          <= tol * (1.0 + np.linalg.norm(a, axis=(-2, -1))))
+                   for a in self.stacks)
 
     def min_eigenvalue(self):
-        vals = [np.linalg.eigvalsh(0.5 * (b + b.conj().T)) for b in self.blocks]
-        return min(float(v[0]) for v in vals)
+        return min(float(np.linalg.eigvalsh(0.5 * (a + stack_adjoint(a)))[:, 0].min())
+                   for a in self.stacks)
 
     def allclose(self, other, atol=1e-12):
         self._check_same(other)
         return all(np.allclose(a, b, atol=atol, rtol=0.0)
-                   for a, b in zip(self.blocks, other.blocks))
+                   for a, b in zip(self.stacks, other.stacks))
 
     def __repr__(self):
         dims = "+".join(str(k) for k in self.algebra.dims[:6])
@@ -277,55 +314,48 @@ class AlgebraElement:
 
 # -- trace calculus ---------------------------------------------------------
 
+def _weighted_sum(algebra, values):
+    """sum_w mu_w v_w / k_w for per-block values given as one array per dim group."""
+    mu = np.asarray(algebra.weights, dtype=float)
+    return complex(sum(mu[idx] @ v / k for (k, idx), v in zip(algebra.dim_groups, values)))
+
+
 def trace(x):
     """tau(x) = sum_w mu_w tr(x_w)/k_w."""
-    return complex(sum(mu * np.trace(b) / k
-                       for mu, k, b in zip(x.algebra.weights, x.algebra.dims, x.blocks)))
+    return _weighted_sum(x.algebra, [np.trace(a, axis1=-2, axis2=-1) for a in x.stacks])
 
 
 def pair_trace(a, b):
     """tau(a b) without adjoints, computed blockwise."""
     a._check_same(b)
-    tot = 0.0 + 0.0j
-    for mu, k, x, y in zip(a.algebra.weights, a.algebra.dims, a.blocks, b.blocks):
-        tot += mu * np.sum(x * y.T) / k
-    return complex(tot)
+    return _weighted_sum(a.algebra, [np.einsum("sij,sji->s", x, y)
+                                     for x, y in zip(a.stacks, b.stacks)])
 
 
 def inner(a, b):
     """tau(a* b), the GNS inner product."""
     a._check_same(b)
-    tot = 0.0 + 0.0j
-    for mu, k, x, y in zip(a.algebra.weights, a.algebra.dims, a.blocks, b.blocks):
-        tot += mu * np.sum(x.conj() * y) / k
-    return complex(tot)
+    return _weighted_sum(a.algebra, [np.einsum("sij,sij->s", x.conj(), y)
+                                     for x, y in zip(a.stacks, b.stacks)])
 
 
 def p_norm(x, p):
     """tau(|x|^p)^(1/p) for hermitian x via the spectral absolute value."""
-    tot = 0.0
-    for mu, k, b in zip(x.algebra.weights, x.algebra.dims, x.blocks):
-        lam = np.linalg.eigvalsh(0.5 * (b + b.conj().T))
-        tot += mu * np.sum(np.abs(lam) ** p) / k
-    return float(tot ** (1.0 / p))
+    powers = [np.sum(np.abs(np.linalg.eigvalsh(0.5 * (a + stack_adjoint(a)))) ** p, axis=-1)
+              for a in x.stacks]
+    return float(_weighted_sum(x.algebra, powers).real ** (1.0 / p))
 
 
 # -- spectral calculus ------------------------------------------------------
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Per-site eigendecomposition of a hermitian element.
-
-    eigenvalues are ascending per block; clusters groups indices whose gaps
-    stay below cluster_tol * (1 + max |lambda|), by single linkage on the
-    sorted sequence.
-    """
+    """Per-site eigendecomposition of a hermitian element (eigenvalues
+    ascending per block)."""
 
     algebra: WeightedAlgebra
     eigenvalues: tuple
     vectors: tuple
-    cluster_tol: float
-    clusters: tuple
 
     def reconstruct(self):
         blocks = [(u * lam) @ u.conj().T
@@ -336,31 +366,24 @@ class SpectralDecomposition:
         return min(float(lam[0]) for lam in self.eigenvalues)
 
 
-def _cluster_indices(lam, tol):
-    if lam.size == 0:
-        return ()
-    thresh = tol * (1.0 + float(np.max(np.abs(lam))))
-    groups, current = [], [0]
-    for i in range(1, lam.size):
-        if lam[i] - lam[i - 1] <= thresh:
-            current.append(i)
-        else:
-            groups.append(tuple(current))
-            current = [i]
-    groups.append(tuple(current))
-    return tuple(groups)
-
-
-def _check_hermitian(b):
-    """Refuse a block, or a stack of blocks, that is not hermitian."""
-    defect = np.linalg.norm(b - stack_adjoint(b), axis=(-2, -1))
-    if np.any(defect > _HERMITIAN_TOL * (1.0 + np.linalg.norm(b, axis=(-2, -1)))):
-        raise ContractViolationError("eigh requires a hermitian element")
+def _hermitian(arr):
+    """A (g, k, k) stack made exactly hermitian; refused when it is not
+    hermitian to within the tolerance.  An exactly hermitian stack, such as
+    every hermitian_part output, is returned as it is."""
+    adj = stack_adjoint(arr)
+    if (arr == adj).all():
+        return arr
+    defect = np.linalg.norm(arr - adj, axis=(-2, -1))
+    if np.any(defect > _HERMITIAN_TOL * (1.0 + np.linalg.norm(arr, axis=(-2, -1)))):
+        raise ContractViolationError("block is not hermitian")
+    return 0.5 * (arr + adj)
 
 
 def _floor_at_zero(lam):
     """Ascending eigenvalues (one row per block) with the values in
     [-1e-10 * max|lambda|, 0) clamped to zero; anything more negative raises."""
+    if not (lam[..., 0] < 0.0).any():
+        return lam
     tol = _NEGATIVE_EVAL_RTOL * np.max(np.abs(lam), axis=-1)
     bad = lam[..., 0] < -tol
     if np.any(bad):
@@ -371,17 +394,13 @@ def _floor_at_zero(lam):
     return np.where(lam < 0.0, 0.0, lam)
 
 
-def eigh(h, cluster_tol=DEFAULT_CLUSTER_TOL):
-    """Blockwise hermitian eigendecomposition with cluster bookkeeping."""
-    vals, vecs, clusters = [], [], []
-    for b in h.blocks:
-        _check_hermitian(b)
-        lam, u = np.linalg.eigh(0.5 * (b + b.conj().T))
-        vals.append(lam)
-        vecs.append(u)
-        clusters.append(_cluster_indices(lam, cluster_tol))
-    return SpectralDecomposition(h.algebra, tuple(vals), tuple(vecs),
-                                 float(cluster_tol), tuple(clusters))
+def eigh(h):
+    """Blockwise hermitian eigendecomposition, one batched eigh per dim group."""
+    pairs = [np.linalg.eigh(_hermitian(arr)) for arr in h.stacks]
+    slots = h.algebra.site_slots
+    return SpectralDecomposition(h.algebra,
+                                 tuple(pairs[g][0][j] for g, j in slots),
+                                 tuple(pairs[g][1][j] for g, j in slots))
 
 
 def stack_adjoint(arr):
@@ -403,10 +422,8 @@ def grouped_eigh(x):
     tiny negative ones are clamped to zero.
     """
     out = []
-    for _, idx in x.algebra.dim_groups:
-        arr = np.stack([x.blocks[s] for s in idx])
-        _check_hermitian(arr)
-        lam, u = np.linalg.eigh(0.5 * (arr + stack_adjoint(arr)))
+    for (_, idx), arr in zip(x.algebra.dim_groups, x.stacks):
+        lam, u = np.linalg.eigh(_hermitian(arr))
         out.append((idx, _floor_at_zero(lam), u))
     return out
 
@@ -460,9 +477,9 @@ def ampliate(x, k):
     """x tensor I_k on every block; the normalized trace is preserved."""
     if k == 1:
         return x
-    big = ampliate_algebra(x.algebra, k)
     eye = np.eye(int(k), dtype=complex)
-    return AlgebraElement(big, [np.kron(b, eye) for b in x.blocks])
+    return AlgebraElement._of(ampliate_algebra(x.algebra, k),
+                              tuple(np.kron(a, eye) for a in x.stacks))
 
 
 def tensor_algebra(a, b):

@@ -18,23 +18,30 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .algebra import (AlgebraElement, WeightedAlgebra, element_to_json,
-                      make_rng, p_norm, random_positive, stack_adjoint,
-                      stack_function)
-from .entropy import (block_bregman, bregman, entropy_vs_subalgebra,
-                      fisher_generator)
+                      grouped_eigh, make_rng, p_norm, random_positive,
+                      stack_adjoint, stack_function)
+from .entropy import (_fisher_at_shift, _subalgebra_entropy, bregman,
+                      entropy_vs_subalgebra, fisher_generator)
 from .errors import (ContractViolationError, DegenerateStateError, DomainError,
                      NumericalContractError)
 from .functions import divided_diff_grid, power
 from .models import (ConditionalExpectation, _base_spec, ampliate_generator,
                      bernoulli_laplace, martingale_subalgebra_expectations,
-                     random_transposition, semigroup_apply, site_apply)
+                     random_transposition, semigroup_apply)
 
 DEFAULT_T_GRID = (0.0, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0)
 DENOMINATOR_FLOOR = 1e-12
 # L-BFGS-B's relative-decrease stop; scipy's default (2.2e-9) stops k=2
 # searches measurably above their k=1 values
 LBFGS_FTOL = 1e-12
-
+# L-BFGS-B's projected-gradient stop
+LBFGS_GTOL = 1e-9
+# searched states are G G* + STATE_FLOOR*1, so they stay faithful
+STATE_FLOOR = 1e-8
+# the perturbative scan: sizes of the steps off the identity, and how many
+# gap eigen-directions it follows
+CURVE_EPS = tuple(np.logspace(-4.7, -1.0, 12))
+MAX_DIRECTIONS = 8
 
 def worker_count():
     env = os.environ.get("SOBOLEV_LAB_THREADS")
@@ -165,26 +172,72 @@ class OptimizerBudget:
     restarts: int = 32
     iterations: int = 2000
     seed: int = 0
-    convergence: float = 1e-9
-    state_floor: float = 1e-8
-    curve_eps: tuple = tuple(np.logspace(-4.7, -1.0, 12))
-    max_directions: int = 8
 
 
 # -- the ratio -----------------------------------------------------------------
 
-def sobolev_ratio(A, f, rho, epsilon=0.0):
-    """Fisher information over relative entropy to the fixed-point algebra.
+def _ratio_terms(A, f, rho):
+    """(R, D, eigenpairs of rho, eigenpairs of E rho, A(rho), f'(rho)) at rho.
 
-    States whose entropy denominator sits at or below 1e-12 are rejected as
-    degenerate rather than returned as huge unstable quotients.
+    R = I/D with D = entropy_vs_subalgebra(f, rho, A.expectation) and
+    I = fisher_generator(A, f, rho), both from one eigendecomposition of rho;
+    the eigenpairs come grouped as algebra.grouped_eigh gives them and f'(rho)
+    as one stack per dim group.
     """
-    den = entropy_vs_subalgebra(f, rho, A.expectation).value
+    groups = grouped_eigh(rho)
+    den, e_groups = _subalgebra_entropy(f, rho, groups, A.expectation)
     if not den > DENOMINATOR_FLOOR:
         raise DegenerateStateError(
             f"entropy denominator {den:.3e} is below {DENOMINATOR_FLOOR:.0e}")
-    num = fisher_generator(A, f, rho, epsilon)
-    return num / den
+    a_rho = A.apply(rho)
+    num, fps = _fisher_at_shift(a_rho, groups, f, 0.0)
+    return num / den, den, groups, e_groups, a_rho, fps
+
+
+def sobolev_ratio(A, f, rho):
+    """Fisher information over relative entropy to the fixed-point algebra,
+    fisher_generator(A, f, rho) / entropy_vs_subalgebra(f, rho, A.expectation).
+
+    Both terms are computed as those functions compute them, from one shared
+    eigendecomposition of rho.  States whose entropy denominator sits at or
+    below 1e-12 are rejected as degenerate rather than returned as huge
+    unstable quotients.
+    """
+    return _ratio_terms(A, f, rho)[0]
+
+
+def _search_state(algebra, x):
+    """G and rho = G G* + STATE_FLOOR*1 for the real coordinates x of G
+    (real parts, then imaginary parts); rho is exactly hermitian."""
+    m, k = algebra.n_sites, algebra.uniform_dim
+    n = x.size // 2
+    G = (x[:n] + 1j * x[n:]).reshape(m, k, k)
+    S = G @ stack_adjoint(G)
+    S = 0.5 * (S + stack_adjoint(S)) + STATE_FLOOR * np.eye(k)
+    return G, AlgebraElement._of(algebra, (S,))
+
+
+def _ratio_and_gradient(A, f, x):
+    """sobolev_ratio at the search state of x, and its gradient in x.
+
+    With the eigenpairs (lam, U) of rho and (mu, V) of E rho that the ratio
+    was computed from: grad I = A(f'(rho)) + U (f'^[1] o U* A(rho) U) U*
+    (Daleckii-Krein), grad D = f'(rho) - f'(E rho), M = (grad I - R grad D)/D,
+    and the gradient in (Re G, Im G) is 2 (w_s/k) (M_h G)_s with M_h the
+    hermitian part of M.  Uniform block dims only.
+    """
+    alg = A.algebra
+    G, rho = _search_state(alg, x)
+    R, den, [(_, lam, U)], [(_, mu, V)], a_rho, [fp] = _ratio_terms(A, f, rho)
+    Uh = stack_adjoint(U)
+    dk = divided_diff_grid(f, 2, lam, lam)
+    a_fp = A.apply(AlgebraElement._of(alg, (fp,))).stacks[0]
+    grad_i = a_fp + U @ (dk * (Uh @ a_rho.stacks[0] @ U)) @ Uh
+    grad_d = fp - stack_function(V, f.eval_order(mu, 1))
+    M = (grad_i - R * grad_d) / den
+    wk = np.asarray(alg.weights, dtype=float) / alg.uniform_dim
+    N = (2.0 * wk)[:, None, None] * ((0.5 * (M + stack_adjoint(M))) @ G)
+    return R, np.concatenate([N.real.ravel(), N.imag.ravel()])
 
 
 def known_bracket(A, f):
@@ -213,120 +266,16 @@ def known_bracket(A, f):
     return (float(low), float(upper))
 
 
-class _RatioEngine:
-    """sobolev_ratio and its gradient on stacked uniform blocks.
-
-    States are parametrized as rho = G G* + floor*1 with G given by the
-    real and imaginary parts of its entries, the coordinates the optimizer
-    moves.  The entropy and the Fisher form are computed as the public
-    functions compute them (Bregman sums, the site action on rho minus its
-    mean), so both keep their digits near the fixed points; authoritative
-    candidate values are still recomputed through sobolev_ratio.
-    """
-
-    def __init__(self, A, f, floor):
-        alg = A.algebra
-        k = alg.uniform_dim
-        if k is None:
-            raise ContractViolationError("the search engine needs uniform block dims")
-        self.f = f
-        self.m = alg.n_sites
-        self.k = k
-        self.floor = float(floor)
-        self.wk = np.asarray(alg.weights, dtype=float) / k
-        shape = (self.m, k, k)
-        if A.site_matrix is not None:
-            L = np.asarray(A.site_matrix)
-            self._apply = lambda arr: site_apply(L, arr)
-        else:
-            T_gen = A.plain_matrix()
-            self._apply = lambda arr: (T_gen @ arr.reshape(-1)).reshape(shape)
-        E = A.expectation
-        if E.kind == "partition":
-            mu = np.asarray(alg.weights, dtype=float)
-            plan = []
-            for cell in E.cells:
-                idx = np.asarray(cell, dtype=int)
-                w = mu[idx]
-                plan.append((idx, w / w.sum()))
-
-            def eapply(arr):
-                out = np.empty_like(arr)
-                for idx, w in plan:
-                    out[idx] = np.tensordot(w, arr[idx], axes=(0, 0))
-                return out
-        elif E.kind == "full":
-            wkc = self.wk.astype(complex)
-            eye = np.eye(k, dtype=complex)
-
-            def eapply(arr):
-                return np.einsum("s,saa->", wkc, arr) * np.broadcast_to(
-                    eye, arr.shape)
-        else:
-            T_exp = E.matrix()
-
-            def eapply(arr):
-                return (T_exp @ arr.reshape(-1)).reshape(shape)
-        self._eapply = eapply
-
-    def state(self, x):
-        """rho = G G* + floor*1 for the real coordinates x of G."""
-        return self._state(self._factor(x))
-
-    def _factor(self, x):
-        n = x.size // 2
-        return (x[:n] + 1j * x[n:]).reshape(self.m, self.k, self.k)
-
-    def _state(self, G):
-        return G @ stack_adjoint(G) + self.floor * np.eye(self.k)
-
-    def _terms(self, arr):
-        """(R, D, spectral data) at a positive stacked state."""
-        f = self.f
-        lam, U = np.linalg.eigh(arr)
-        lam = np.maximum(lam, 0.0)
-        mu, V = np.linalg.eigh(self._eapply(arr))
-        mu = np.maximum(mu, 0.0)
-        den = float(self.wk @ block_bregman(f, lam, U, mu, V))
-        if not den > DENOMINATOR_FLOOR:
-            raise DegenerateStateError("degenerate entropy denominator")
-        fp = stack_function(U, f.eval_order(lam, 1))
-        a = self._apply(arr)
-        num = float(np.real(np.einsum("s,sab,sba->", self.wk, a, fp)))
-        return num / den, den, (lam, U, mu, V, a, fp)
-
-    def ratio(self, arr):
-        return self._terms(arr)[0]
-
-    def value_and_grad(self, x):
-        """The ratio R at state(x) and its gradient in x.
-
-        With rho = G G* + floor: grad I = A(f'(rho)) + U (f'^[1] o U* A(rho) U) U*
-        (Daleckii-Krein), grad D = f'(rho) - f'(E rho), M = (grad I - R grad D)/D,
-        and the gradient in (Re G, Im G) is 2 (w_s/k) (M G)_s.
-        """
-        f = self.f
-        G = self._factor(x)
-        R, den, (lam, U, mu, V, a, fp) = self._terms(self._state(G))
-        Uh = stack_adjoint(U)
-        dk = divided_diff_grid(f, 2, lam, lam)
-        grad_i = self._apply(fp) + U @ (dk * (Uh @ a @ U)) @ Uh
-        grad_d = fp - stack_function(V, f.eval_order(mu, 1))
-        M = (grad_i - R * grad_d) / den
-        N = (2.0 * self.wk)[:, None, None] * ((0.5 * (M + stack_adjoint(M))) @ G)
-        return R, np.concatenate([N.real.ravel(), N.imag.ravel()])
-
-
 # -- constant search -----------------------------------------------------------
 
-def _gap_directions(A, budget):
+def _gap_directions(A):
     """tau-normalized hermitian eigenvectors at the spectral gap."""
     lam, V = A.spectral()
     gap = A.gap()
     alg = A.algebra
     out = []
     for i in range(lam.size):
-        if len(out) >= budget.max_directions:
+        if len(out) >= MAX_DIRECTIONS:
             break
         if not (lam[i] > A.gap_tol and lam[i] <= gap * (1.0 + 1e-9) + 1e-12):
             continue
@@ -336,7 +285,7 @@ def _gap_directions(A, budget):
             nrm = float(np.linalg.norm(alg.vec(part)))
             if nrm > 1e-10:
                 out.append(part * (1.0 / nrm))
-    return out[: budget.max_directions]
+    return out[:MAX_DIRECTIONS]
 
 
 def estimate_constant(A, f, ampliation=1, budget=None):
@@ -344,68 +293,56 @@ def estimate_constant(A, f, ampliation=1, budget=None):
 
     Two ingredients: a perturbative scan along kernel-gap eigenvectors on
     both sides of the identity (which pins the small-perturbation value, an
-    upper bound of twice the gap), and L-BFGS-B descent on the ratio with
+    upper bound of twice the gap), and L-BFGS-B descent on sobolev_ratio with
     its analytic Daleckii-Krein gradient from budget.restarts seeded random
-    interior states.  The scan's lowest state and each restart's end point
-    are re-evaluated through sobolev_ratio, and the reported estimate is the
-    minimum of those values, so the witness reproduces it exactly.
+    interior states.  Every scan state and each restart's end point is
+    evaluated through sobolev_ratio, and the reported estimate is the
+    minimum of those values, so the witness reproduces it exactly.  Block
+    dims must be uniform.
     """
     budget = budget or OptimizerBudget()
     Ak = ampliate_generator(A, int(ampliation))
     alg = Ak.algebra
-    engine = _RatioEngine(Ak, f, budget.state_floor)
-    m, k = engine.m, engine.k
-    eye = np.broadcast_to(np.eye(k, dtype=complex), (m, k, k))
+    if alg.uniform_dim is None:
+        raise ContractViolationError("the constant search needs uniform block dims")
     counters = {"samples": 0, "rejected": 0}
+    best = [math.inf, None]  # (value, state)
 
-    def public_value(arr):
+    def evaluate(state):
         counters["samples"] += 1
-        state = AlgebraElement.from_stacked(alg, arr).hermitian_part()
         try:
-            return sobolev_ratio(Ak, f, state), state
+            val = sobolev_ratio(Ak, f, state)
         except (DegenerateStateError, DomainError):
             counters["rejected"] += 1
-            return None, None
+            return None
+        if val < best[0]:
+            best[:] = [val, state]
+        return val
 
-    # perturbative scan on both sides of the identity; the engine ranks the
-    # states and only the lowest one becomes a candidate
-    candidates = []  # (value, state)
-    scan_best = (math.inf, None)
-    for phi in _gap_directions(Ak, budget):
-        arrphi = phi.stacked()
-        for eps in budget.curve_eps:
+    # perturbative scan on both sides of the identity
+    one = alg.identity()
+    for phi in _gap_directions(Ak):
+        for eps in CURVE_EPS:
             for sign in (1.0, -1.0):
-                arr = eye + (sign * float(eps)) * arrphi
-                if float(np.linalg.eigvalsh(arr).min()) < 1e-8:
-                    continue
-                counters["samples"] += 1
-                try:
-                    val = engine.ratio(arr)
-                except (DegenerateStateError, DomainError):
-                    counters["rejected"] += 1
-                    continue
-                if val < scan_best[0]:
-                    scan_best = (val, arr)
-    if scan_best[1] is not None:
-        val, state = public_value(scan_best[1])
-        if val is not None:
-            candidates.append((val, state))
+                state = one + phi * (sign * float(eps))
+                if state.min_eigenvalue() >= 1e-8:
+                    evaluate(state)
 
     def descend(ridx):
-        x0 = make_rng(budget.seed, 7, ridx).standard_normal(2 * m * k * k) * 0.5
+        x0 = make_rng(budget.seed, 7, ridx).standard_normal(2 * alg.coeff_dim) * 0.5
         local = [0, 0]
 
         def objective(x):
             local[0] += 1
             try:
-                return engine.value_and_grad(x)
+                return _ratio_and_gradient(Ak, f, x)
             except (DegenerateStateError, DomainError):
                 local[1] += 1
                 return 1e6, np.zeros_like(x)
 
         res = minimize(objective, x0, method="L-BFGS-B", jac=True,
                        options={"maxiter": budget.iterations,
-                                "gtol": budget.convergence,
+                                "gtol": LBFGS_GTOL,
                                 "ftol": LBFGS_FTOL})
         return np.asarray(res.x, dtype=float), local[0], local[1]
 
@@ -413,16 +350,11 @@ def estimate_constant(A, f, ampliation=1, budget=None):
     for x, n_evals, n_rej in parallel_map(descend, range(budget.restarts)):
         counters["samples"] += n_evals
         counters["rejected"] += n_rej
-        val, state = public_value(engine.state(x))
-        restart_values.append(val)
-        if val is not None:
-            candidates.append((val, state))
+        restart_values.append(evaluate(_search_state(alg, x)[1]))
 
-    if not candidates:
+    est, witness = best
+    if witness is None:
         raise DegenerateStateError("every evaluated state was rejected")
-
-    best = min(range(len(candidates)), key=lambda i: candidates[i][0])
-    est, witness = candidates[best]
     check = sobolev_ratio(Ak, f, witness)
     if abs(check - est) > 1e-8 * (1.0 + abs(est)):
         raise NumericalContractError(

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (AlgebraElement, WeightedAlgebra, eigh, floored_eigenvalues,
-                      grouped_eigh, inner, stack_adjoint, stack_function)
+from .algebra import (DEFAULT_CLUSTER_TOL, AlgebraElement, WeightedAlgebra, eigh,
+                      floored_eigenvalues, grouped_eigh, inner, stack_adjoint,
+                      stack_function)
 from .doi import DEFAULT_KERNEL_FLOOR, schur_q
 from .errors import AlgebraMismatchError, ContractViolationError
 from .functions import bregman_gap, divided_diff_grid
@@ -56,14 +57,14 @@ def block_bregman(f, lam, U, mu, V, kernel_rule=False):
     return np.sum(overlap * gaps, axis=(-2, -1))
 
 
-def _bregman_trace(f, rho, sigma, shift=0.0, kernel_rule=False):
-    """tau(f(rho) - f(s) - f'(s)(rho - s)) for s = sigma + shift*1, with one
-    batched eigendecomposition per dim group of each argument."""
-    mu_w = np.asarray(rho.algebra.weights, dtype=float)
+def _bregman_sum(f, algebra, rho_groups, sigma_groups, shift=0.0, kernel_rule=False):
+    """tau(f(rho) - f(s) - f'(s)(rho - s)) for s = sigma + shift*1 from the
+    grouped eigenpairs of rho and sigma."""
+    weights = np.asarray(algebra.weights, dtype=float)
     total = 0.0
-    for (idx, lam, U), (_, mu, V) in zip(grouped_eigh(rho), grouped_eigh(sigma)):
+    for (idx, lam, U), (_, mu, V) in zip(rho_groups, sigma_groups):
         per_block = block_bregman(f, lam, U, mu + shift, V, kernel_rule)
-        total += float(mu_w[idx] @ per_block) / U.shape[-1]
+        total += float(weights[idx] @ per_block) / U.shape[-1]
     return total
 
 
@@ -77,8 +78,9 @@ def bregman(f, rho, sigma, epsilon=0.0):
         raise AlgebraMismatchError("bregman arguments live on different algebras")
     if epsilon < 0.0:
         raise ContractViolationError("epsilon must be nonnegative")
-    return EntropyValue(_bregman_trace(f, rho, sigma, shift=epsilon),
-                        float(epsilon), f.label)
+    value = _bregman_sum(f, rho.algebra, grouped_eigh(rho), grouped_eigh(sigma),
+                         shift=epsilon)
+    return EntropyValue(value, float(epsilon), f.label)
 
 
 def entropy_vs_subalgebra(f, rho, expectation):
@@ -90,19 +92,28 @@ def entropy_vs_subalgebra(f, rho, expectation):
     traces loses.  Non-hermitian input and genuinely negative eigenvalues
     are refused.
     """
-    e_rho = expectation.apply(rho).hermitian_part()
-    return EntropyValue(_bregman_trace(f, rho, e_rho, kernel_rule=True),
-                        0.0, f.label)
+    value, _ = _subalgebra_entropy(f, rho, grouped_eigh(rho), expectation)
+    return EntropyValue(value, 0.0, f.label)
 
 
-def _fisher_at_shift(a_rho, groups, f, shift):
+def _subalgebra_entropy(f, rho, rho_groups, expectation):
+    """entropy_vs_subalgebra's value from the grouped eigenpairs of rho,
+    with the grouped eigenpairs of E rho that it computes."""
+    e_groups = grouped_eigh(expectation.apply(rho).hermitian_part())
+    return (_bregman_sum(f, rho.algebra, rho_groups, e_groups, kernel_rule=True),
+            e_groups)
+
+
+def _fisher_at_shift(a_rho, rho_groups, f, shift):
+    """tau(A(rho) f'(rho + shift*1)) from A(rho) and the grouped eigenpairs
+    of rho, with the stacks of f'(rho + shift*1) per dim group."""
     w = np.asarray(a_rho.algebra.weights, dtype=float)
-    total = 0.0
-    for idx, lam, U in groups:
+    total, dfs = 0.0, []
+    for (idx, lam, U), a in zip(rho_groups, a_rho.stacks):
         df = stack_function(U, f.eval_order(lam + shift, 1))
-        a = np.stack([a_rho.blocks[s] for s in idx])
         total += float(np.real(np.einsum("s,sab,sba->", w[idx], a, df))) / U.shape[-1]
-    return total
+        dfs.append(df)
+    return total, dfs
 
 
 def fisher_generator(generator, f, rho, epsilon=0.0):
@@ -117,11 +128,11 @@ def fisher_generator(generator, f, rho, epsilon=0.0):
     a_rho = generator.apply(rho)
     groups = grouped_eigh(rho)
     if epsilon == 0.0:
-        return _fisher_at_shift(a_rho, groups, f, 0.0)
+        return _fisher_at_shift(a_rho, groups, f, 0.0)[0]
     if min(float(lam[:, 0].min()) for _, lam, _ in groups) > 0.0:
-        return _fisher_at_shift(a_rho, groups, f, epsilon)
-    v_eps = _fisher_at_shift(a_rho, groups, f, epsilon)
-    v_quarter = _fisher_at_shift(a_rho, groups, f, epsilon / 4.0)
+        return _fisher_at_shift(a_rho, groups, f, epsilon)[0]
+    v_eps = _fisher_at_shift(a_rho, groups, f, epsilon)[0]
+    v_quarter = _fisher_at_shift(a_rho, groups, f, epsilon / 4.0)[0]
     return (4.0 * v_quarter - v_eps) / 3.0
 
 
@@ -243,9 +254,8 @@ def fisher_derivation(delta, f, rho, weights=None, cluster_tol=None):
     same nonnegative per-site density against a different trace on the
     source, which is what the change-of-measure comparisons need.
     """
-    from .algebra import DEFAULT_CLUSTER_TOL
     tol = DEFAULT_CLUSTER_TOL if cluster_tol is None else cluster_tol
-    spec = eigh(rho, cluster_tol=tol)
+    spec = eigh(rho)
     lams = floored_eigenvalues(spec, floor=DEFAULT_KERNEL_FLOOR)
     xi = delta.apply(rho)
     nu = delta.target_weights(weights)

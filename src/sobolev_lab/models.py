@@ -75,22 +75,21 @@ class ConditionalExpectation:
         if flat != list(range(algebra.n_sites)):
             raise ContractViolationError("cells must partition the site set")
         mu = np.asarray(algebra.weights, dtype=float)
-        dims = algebra.dims
-        plan = []
+        slots = algebra.site_slots
+        plan = []  # (dim group, positions in its stack, normalized weights)
         for cell in cells:
-            if len({dims[s] for s in cell}) != 1:
+            if len({slots[s][0] for s in cell}) != 1:
                 raise ContractViolationError("sites averaged together must share one dim")
-            idx = np.array(cell, dtype=int)
-            w = mu[idx]
-            plan.append((idx, w / w.sum()))
+            w = mu[list(cell)]
+            plan.append((slots[cell[0]][0], np.array([slots[s][1] for s in cell]),
+                         w / w.sum()))
 
         def ap(x):
-            blocks = [None] * algebra.n_sites
-            for idx, w in plan:
-                avg = np.tensordot(w, np.stack([x.blocks[s] for s in idx]), axes=(0, 0))
-                for s in idx:
-                    blocks[s] = avg
-            return AlgebraElement(algebra, blocks)
+            out = [np.empty_like(a) for a in x.stacks]
+            for g, pos, w in plan:
+                cell = x.stacks[g][pos]
+                out[g][pos] = (w @ cell.reshape(len(w), -1)).reshape(cell.shape[1:])
+            return AlgebraElement._of(algebra, tuple(out))
 
         return cls(algebra, ap, kind="partition", cells=cells)
 
@@ -153,7 +152,9 @@ def site_apply(L, arr):
     L is applied to arr minus its mean block.  Rows of L sum to zero, so the
     result is the same, but a nearly constant stack keeps its digits.
     """
-    return np.tensordot(L, arr - arr.mean(axis=0), axes=(1, 0))
+    m = arr.shape[0]
+    centered = arr - arr.sum(axis=0) / m
+    return (L @ centered.reshape(m, -1)).reshape(arr.shape)
 
 
 def _check_moves(n_sites, moves):
@@ -238,8 +239,8 @@ class GeneratorHandle:
         if x.algebra != self.algebra:
             raise AlgebraMismatchError("generator fed a foreign element")
         if self.site_matrix is not None:
-            out = site_apply(self.site_matrix, np.stack(x.blocks))
-            return AlgebraElement.from_stacked(self.algebra, out)
+            return AlgebraElement._of(
+                self.algebra, (site_apply(self.site_matrix, x.stacks[0]),))
         if self._apply_fn is not None:
             return self._apply_fn(x)
         v = self.algebra.vec(x, orthonormal=False)

@@ -24,7 +24,7 @@ from sobolev_lab.algebra import (
     element_to_json,
     p_norm,
 )
-from sobolev_lab.functions import power
+from sobolev_lab.functions import power, xlogx
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -118,15 +118,13 @@ def test_eigh_identity_single_cluster():
     alg = WeightedAlgebra.full_matrix(3)
     spec = eigh(alg.identity())
     np.testing.assert_allclose(spec.eigenvalues[0], [1.0, 1.0, 1.0], atol=1e-14)
-    assert spec.clusters[0] == ((0, 1, 2),)
 
 
 def test_eigh_diagonal_three_clusters():
     alg = WeightedAlgebra.full_matrix(3)
     h = AlgebraElement(alg, [np.diag([1.0, 2.0, 3.0]).astype(complex)])
-    spec = eigh(h, cluster_tol=1e-8)
+    spec = eigh(h)
     np.testing.assert_allclose(spec.eigenvalues[0], [1.0, 2.0, 3.0], atol=1e-14)
-    assert spec.clusters[0] == ((0,), (1,), (2,))
 
 
 @given(s=seeds)
@@ -265,3 +263,127 @@ def test_element_json_roundtrip():
     x = random_element(alg, seed=13)
     back = element_from_json(element_to_json(x), alg)
     assert back.allclose(x, atol=0.0)
+
+
+# -- one layout on mixed dims -----------------------------------------------------
+#
+# An element stores one (g, k, k) stack per block dim; these check the stacked
+# operations against numpy run on each block by itself, on dims (3, 2) and on
+# an interleaved (3, 2, 3, 2) whose groups are not contiguous runs of sites.
+
+def interleaved_algebra():
+    return WeightedAlgebra.build([("a", 3), ("b", 2), ("c", 3), ("d", 2)],
+                                 weights=(0.1, 0.2, 0.3, 0.4))
+
+
+def per_block_trace(alg, blocks):
+    return sum(mu * np.trace(b) / k for mu, k, b in zip(alg.weights, alg.dims, blocks))
+
+
+@pytest.mark.parametrize("make", [mixed_algebra, interleaved_algebra])
+def test_blocks_and_stacks_describe_one_element(make):
+    alg = make()
+    blocks = [np.array(b) for b in random_element(alg, seed=31).blocks]
+    x = AlgebraElement(alg, blocks)
+    for (k, idx), arr in zip(alg.dim_groups, x.stacks):
+        assert arr.shape == (len(idx), k, k)
+        np.testing.assert_array_equal(arr, np.array([blocks[s] for s in idx]))
+    same = AlgebraElement._of(alg, tuple(arr.copy() for arr in x.stacks))
+    assert same.allclose(x, atol=0.0)
+    for got, want in zip(same.blocks, blocks):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_uniform_element_from_a_stack_equals_it_from_blocks():
+    alg = WeightedAlgebra.block_sites(3, 2)
+    arr = random_element(alg, seed=32).stacks[0].copy()
+    x = AlgebraElement(alg, arr)
+    assert x.allclose(AlgebraElement(alg, list(arr)), atol=0.0)
+    arr[0, 0, 0] = 99.0  # the constructor copied its input
+    assert x.blocks[0][0, 0] != 99.0
+    with pytest.raises(ContractViolationError):
+        AlgebraElement(alg, arr[:2])
+
+
+@pytest.mark.parametrize("make", [mixed_algebra, interleaved_algebra])
+def test_blocks_and_stacks_refuse_writes(make):
+    x = random_element(make(), seed=33)
+    with pytest.raises(ValueError):
+        x.blocks[0][0, 0] = 1.0
+    with pytest.raises(ValueError):
+        x.stacks[0][0, 0, 0] = 1.0
+    assert x.blocks is x.blocks
+
+
+@pytest.mark.parametrize("make", [mixed_algebra, interleaved_algebra])
+def test_stacked_operations_match_per_block_numpy(make):
+    alg = make()
+    x, y = random_element(alg, seed=34), random_element(alg, seed=35)
+    bx, by = x.blocks, y.blocks
+    cases = [
+        (x + y, [a + b for a, b in zip(bx, by)]),
+        (x - y, [a - b for a, b in zip(bx, by)]),
+        (-x, [-a for a in bx]),
+        (x * (2.0 - 0.5j), [(2.0 - 0.5j) * a for a in bx]),
+        (0.25 * x, [0.25 * a for a in bx]),
+        (x @ y, [a @ b for a, b in zip(bx, by)]),
+        (x.adjoint(), [a.conj().T for a in bx]),
+        (x.hermitian_part(), [0.5 * (a + a.conj().T) for a in bx]),
+    ]
+    for got, want in cases:
+        for g, w in zip(got.blocks, want):
+            np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-14)
+    plain = np.concatenate([a.reshape(-1) for a in bx])
+    np.testing.assert_array_equal(alg.vec(x, orthonormal=False), plain)
+    np.testing.assert_allclose(alg.vec(x), plain * alg.scales, rtol=1e-15)
+    assert alg.unvec(alg.vec(x)).allclose(x, atol=1e-14)
+    assert alg.unvec(plain, orthonormal=False).allclose(x, atol=0.0)
+    assert trace(x) == pytest.approx(per_block_trace(alg, bx), abs=1e-14)
+    want = sum(mu * np.sum(a.conj() * b) / k
+               for mu, k, a, b in zip(alg.weights, alg.dims, bx, by))
+    assert inner(x, y) == pytest.approx(want, abs=1e-14)
+    assert pair_trace(x, y) == pytest.approx(
+        per_block_trace(alg, [a @ b for a, b in zip(bx, by)]), abs=1e-14)
+
+
+def test_partition_expectation_on_mixed_dims():
+    from sobolev_lab import ConditionalExpectation
+    alg = interleaved_algebra()
+    E = ConditionalExpectation.from_partition(alg, ((0, 2), (1, 3)))
+    x = random_element(alg, seed=36)
+    b, mu = x.blocks, alg.weights
+    avg3 = (mu[0] * b[0] + mu[2] * b[2]) / (mu[0] + mu[2])
+    avg2 = (mu[1] * b[1] + mu[3] * b[3]) / (mu[1] + mu[3])
+    for got, want in zip(E.apply(x).blocks, (avg3, avg2, avg3, avg2)):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+    assert trace(E.apply(x)) == pytest.approx(trace(x), abs=1e-14)
+    with pytest.raises(ContractViolationError):
+        ConditionalExpectation.from_partition(alg, ((0, 1), (2, 3)))
+
+
+@pytest.mark.parametrize("f", [power(1.5), xlogx()], ids=["power", "xlogx"])
+def test_entropy_and_fisher_on_mixed_dims(f):
+    from sobolev_lab import (ConditionalExpectation, depolarizing,
+                             entropy_vs_subalgebra, fisher_generator)
+    alg = interleaved_algebra()
+    E = ConditionalExpectation.from_partition(alg, ((0, 2), (1, 3)))
+    A = depolarizing(E)
+    rho = random_positive(alg, floor=1e-2, seed=37)
+    b, mu = rho.blocks, alg.weights
+    avg3 = (mu[0] * b[0] + mu[2] * b[2]) / (mu[0] + mu[2])
+    avg2 = (mu[1] * b[1] + mu[3] * b[3]) / (mu[1] + mu[3])
+    e_blocks = (avg3, avg2, avg3, avg2)
+
+    def tr_f(h):
+        return np.sum(f.eval_order(np.linalg.eigvalsh(h), 0))
+
+    def f_prime(h):
+        lam, U = np.linalg.eigh(h)
+        return (U * f.eval_order(lam, 1)) @ U.conj().T
+
+    entropy = sum(m * (tr_f(r) - tr_f(e)) / k
+                  for m, k, r, e in zip(mu, alg.dims, b, e_blocks))
+    fisher = sum(m * np.trace((r - e) @ f_prime(r)).real / k
+                 for m, k, r, e in zip(mu, alg.dims, b, e_blocks))
+    assert entropy_vs_subalgebra(f, rho, E).value == pytest.approx(entropy, rel=1e-10)
+    assert fisher_generator(A, f, rho) == pytest.approx(fisher, rel=1e-10)

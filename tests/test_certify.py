@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sobolev_lab import (
-    AlgebraElement,
     CheckReport,
     ConditionalExpectation,
     ContractViolationError,
@@ -34,7 +33,7 @@ from sobolev_lab import (
     sobolev_ratio,
 )
 from sobolev_lab.algebra import element_from_json
-from sobolev_lab.certify import _RatioEngine, worker_count
+from sobolev_lab.certify import _ratio_and_gradient, _search_state, worker_count
 from sobolev_lab.functions import power, xlogx
 
 LIGHT = OptimizerBudget(restarts=6, iterations=400, seed=0)
@@ -97,26 +96,54 @@ def test_ratio_near_the_identity_against_mpmath():
         assert sobolev_ratio(A, f, state) == pytest.approx(exact, rel=1e-9)
 
 
-# -- the search engine -----------------------------------------------------------
+def test_ratio_eigendecomposes_rho_once(monkeypatch):
+    # one eigendecomposition of rho, shared by entropy and Fisher form, and
+    # one of E rho
+    import sobolev_lab.algebra as algebra_mod
+    import sobolev_lab.certify as certify_mod
+    import sobolev_lab.entropy as entropy_mod
+    calls = []
+    original = algebra_mod.grouped_eigh
+
+    def counted(x):
+        calls.append(x)
+        return original(x)
+
+    for mod in (algebra_mod, entropy_mod, certify_mod):
+        if hasattr(mod, "grouped_eigh"):
+            monkeypatch.setattr(mod, "grouped_eigh", counted)
+    A = random_transposition(3, 2)
+    rho = random_positive(A.algebra, floor=1e-3, seed=4)
+    sobolev_ratio(A, power(1.5), rho)
+    assert len(calls) == 2
+
+
+# -- the search objective --------------------------------------------------------
+
+def _model(walk):
+    if walk == "rt3":
+        return random_transposition(3)
+    if walk == "bl31":
+        return bernoulli_laplace(3, 1)
+    # a callable action; ampliated, a lifted expectation
+    return depolarizing(ConditionalExpectation.full_average(
+        WeightedAlgebra.commutative(3)))
+
 
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("f", [power(1.5), xlogx()], ids=["power", "xlogx"])
-@pytest.mark.parametrize("walk", ["rt3", "bl31"])
+@pytest.mark.parametrize("walk", ["rt3", "bl31", "dep3"])
 def test_engine_gradient_matches_finite_differences(walk, f, k):
-    A = random_transposition(3) if walk == "rt3" else bernoulli_laplace(3, 1)
-    Ak = ampliate_generator(A, k)
-    engine = _RatioEngine(Ak, f, 1e-8)
-    x = make_rng(70, k).standard_normal(2 * engine.m * k * k) * 0.5
-    value, grad = engine.value_and_grad(x)
-    state = AlgebraElement.from_stacked(Ak.algebra, engine.state(x))
-    assert value == pytest.approx(sobolev_ratio(Ak, f, state.hermitian_part()),
-                                  rel=1e-12)
+    Ak = ampliate_generator(_model(walk), k)
+    x = make_rng(70, k).standard_normal(2 * Ak.algebra.coeff_dim) * 0.5
+    value, grad = _ratio_and_gradient(Ak, f, x)
+    assert value == sobolev_ratio(Ak, f, _search_state(Ak.algebra, x)[1])
 
     def central(i, h):
         e = np.zeros_like(x)
         e[i] = h
-        return (engine.value_and_grad(x + e)[0]
-                - engine.value_and_grad(x - e)[0]) / (2.0 * h)
+        return (_ratio_and_gradient(Ak, f, x + e)[0]
+                - _ratio_and_gradient(Ak, f, x - e)[0]) / (2.0 * h)
 
     # Richardson extrapolation of the central difference, O(h^4)
     h = 1e-4

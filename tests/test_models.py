@@ -216,10 +216,10 @@ def test_semigroup_matches_expm_of_the_site_matrix():
     from scipy.linalg import expm
     A = random_transposition(3, matrix_dim=2)
     x = random_element(A.algebra, seed=9)
-    assert np.abs(np.imag(x.stacked())).max() > 0.1
+    assert np.abs(np.imag(x.stacks[0])).max() > 0.1
     t = 0.7
-    expected = np.tensordot(expm(-t * A.site_matrix), x.stacked(), axes=(1, 0))
-    got = semigroup_apply(A, t, x).stacked()
+    expected = np.tensordot(expm(-t * A.site_matrix), x.stacks[0], axes=(1, 0))
+    got = semigroup_apply(A, t, x).stacks[0]
     assert np.abs(got - expected).max() <= 1e-12 * (1.0 + np.abs(expected).max())
 
 
@@ -388,6 +388,6 @@ def test_site_action_keeps_its_digits_near_constants():
     e = 1e-7
     near = A.algebra.identity() + x * e
     got = np.stack(A.apply(near).blocks)
-    small = near.stacked() - np.eye(2)
+    small = near.stacks[0] - np.eye(2)
     expected = np.tensordot(A.site_matrix, small, axes=(1, 0))
     assert np.allclose(got, expected, rtol=0, atol=1e-13 * e)
