@@ -158,7 +158,9 @@ def _build_model(config):
     k = int(config.get("ampliation", 1))
     if k > 1:
         A = ampliate_generator(A, k)
-    A.spectral()  # refuse a model over the dense budget before states are drawn
+    # build the spectrum semigroup_apply uses, so that a model over the dense
+    # budget is refused before states are drawn
+    A.spectrum()
     return A
 
 

@@ -1,10 +1,15 @@
 """Reversible jump generators and conditional expectations at desk scale.
 
-Generators are kept abstract (an action on algebra elements) with dense
-spectral data materialized lazily and only below a hard coefficient-dimension
-budget.  Builders cover the transposition walk on permutations, the
-occupancy-swap walk, depolarizing maps and weighted graph Laplacians; all of
-them are self-adjoint for the weighted trace and positive semidefinite.
+Generators are kept abstract (an action on algebra elements).  A site-matrix
+generator L (x) id_{M_k}, such as the transposition and occupancy walks and
+weighted graph Laplacians, has the spectrum of its m x m site matrix, each
+eigenvalue repeated k^2 times; its gap and semigroup come from that site
+spectrum and need no dense matrix, so they run at any block dim.  Other
+generators (callables, dense matrices, tensor products) materialize dense
+spectral data lazily and only below a hard coefficient-dimension budget.
+Builders cover the transposition walk on permutations, the occupancy-swap
+walk, depolarizing maps and weighted graph Laplacians; all of them are
+self-adjoint for the weighted trace and positive semidefinite.
 """
 
 from __future__ import annotations
@@ -24,6 +29,9 @@ from .errors import (AlgebraMismatchError, ContractViolationError,
                      NumericalContractError)
 
 DEFAULT_GAP_TOL = 1e-9
+# Dense (coeff_dim x coeff_dim) data is built for callable and plain
+# generators, tensor_generator's factors, export_matrix_csv and the search's
+# gap directions; site-matrix generators need none for gap and semigroup.
 MAX_DENSE_COEFF_DIM = 4096
 
 
@@ -32,6 +40,33 @@ def _check_dense_budget(algebra):
         raise ContractViolationError(
             "dense spectral data refused: coefficient dimension "
             f"{algebra.coeff_dim} exceeds {MAX_DENSE_COEFF_DIM}")
+
+
+def _checked_spectrum(S, spec, copies=1, eig=True):
+    """Eigendecomposition (lam, V) of a generator S in orthonormal
+    coordinates, with the eigenvalues clipped at 0; its hermitian part
+    instead when eig is false.
+
+    Refuses a generator that is not self-adjoint for the weighted trace or
+    has a negative mode.  Each entry of S stands for `copies` entries of the
+    whole coefficient matrix (k^2 for a site matrix), so the defect and the
+    norm it is measured against are those of the whole matrix.
+    """
+    r = math.sqrt(copies)
+    defect = r * np.linalg.norm(S - S.conj().T)
+    if defect > 1e-10 * (1.0 + r * np.linalg.norm(S)):
+        raise NumericalContractError(
+            "generator is not self-adjoint for the weighted trace "
+            f"(defect {defect:.3e}, spec {spec!r})")
+    S = 0.5 * (S + S.conj().T)
+    if not eig:
+        return S
+    lam, V = np.linalg.eigh(S)
+    scale = max(abs(float(lam[0])), abs(float(lam[-1])), 1e-30)
+    if lam[0] < -1e-10 * scale:
+        raise NumericalContractError(
+            f"generator has a negative mode {lam[0]:.3e} (spec {spec!r})")
+    return np.maximum(lam, 0.0), V
 
 
 def _matrix_by_application(algebra, ap):
@@ -202,8 +237,13 @@ class GeneratorHandle:
 
     The action is whichever of site_matrix (block mixing with one scalar per
     site pair, rows summing to zero), a dense plain-coefficient matrix, or a
-    python callable was given.  Dense spectral data is cached lazily behind
-    a lock and refused above MAX_DENSE_COEFF_DIM coefficients.
+    python callable was given.  A site-matrix generator keeps one cached
+    eigendecomposition of its m x m site matrix, which serves gap() and
+    semigroup_apply at any block dim.  Dense spectral data (plain_matrix,
+    orth_matrix, spectral) is cached lazily behind a lock and refused above
+    MAX_DENSE_COEFF_DIM coefficients; site-matrix generators build it only
+    for export, tensor products, the search's gap directions and a
+    fixed-point expectation that was not given.
     """
 
     def __init__(self, algebra, *, apply_fn=None, site_matrix=None, plain=None,
@@ -234,6 +274,7 @@ class GeneratorHandle:
         self._lock = threading.Lock()
         self._orth = None
         self._eig = None
+        self._site_eig = None
 
     def apply(self, x):
         if x.algebra != self.algebra:
@@ -263,31 +304,41 @@ class GeneratorHandle:
         with self._lock:
             if self._orth is None:
                 s = self.algebra.scales
-                S = (s[:, None] * T) / s[None, :]
-                defect = np.linalg.norm(S - S.conj().T)
-                if defect > 1e-10 * (1.0 + np.linalg.norm(S)):
-                    raise NumericalContractError(
-                        "generator is not self-adjoint for the weighted trace "
-                        f"(defect {defect:.3e}, spec {self.spec!r})")
-                self._orth = 0.5 * (S + S.conj().T)
+                self._orth = _checked_spectrum(
+                    (s[:, None] * T) / s[None, :], self.spec, eig=False)
             return self._orth
 
     def spectral(self):
+        """Dense eigendecomposition (lam, V) of orth_matrix."""
         S = self.orth_matrix()
         with self._lock:
             if self._eig is None:
                 _check_dense_budget(self.algebra)
-                lam, V = np.linalg.eigh(S)
-                scale = max(abs(float(lam[0])), abs(float(lam[-1])), 1e-30)
-                if lam[0] < -1e-10 * scale:
-                    raise NumericalContractError(
-                        f"generator has a negative mode {lam[0]:.3e} "
-                        f"(spec {self.spec!r})")
-                self._eig = (np.maximum(lam, 0.0), V)
+                self._eig = _checked_spectrum(S, self.spec)
             return self._eig
 
+    def _site_spectral(self):
+        """(lam, W, sigma) of the site matrix in tau-orthonormal site
+        coordinates: with sigma = sqrt(mu), sigma L sigma^-1 = W diag(lam) W^T,
+        symmetric because the moves are reversible."""
+        with self._lock:
+            if self._site_eig is None:
+                sigma = np.sqrt(np.asarray(self.algebra.weights, dtype=float))
+                S = (sigma[:, None] * self.site_matrix) / sigma[None, :]
+                lam, W = _checked_spectrum(
+                    S, self.spec, copies=self.algebra.uniform_dim ** 2)
+                self._site_eig = (lam, W, sigma)
+            return self._site_eig
+
+    def spectrum(self):
+        """The eigendecomposition (lam, V) that gap() and semigroup_apply use:
+        the site matrix's (m x m) on a site-matrix generator, else spectral()."""
+        if self.site_matrix is not None:
+            return self._site_spectral()[:2]
+        return self.spectral()
+
     def gap(self):
-        lam, _ = self.spectral()
+        lam, _ = self.spectrum()
         above = lam[lam > self.gap_tol]
         if above.size == 0:
             raise ContractViolationError("no spectrum above the kernel tolerance")
@@ -310,20 +361,27 @@ class GeneratorHandle:
 
 
 def semigroup_apply(A, t, x):
-    """exp(-t A) x through the cached eigendecomposition; t must be >= 0."""
+    """exp(-t A) x through the cached eigendecomposition A.spectrum(); t must
+    be >= 0.
+
+    On a site-matrix generator it acts on the site index of the (m, k, k)
+    stack as sigma^-1 W exp(-t lam) W^T sigma.
+    """
     if t < 0:
         raise ContractViolationError("the semigroup runs forward in time")
+    if A.site_matrix is not None:
+        lam, W, sigma = A._site_spectral()
+        X = x.stacks[0]
+        m = X.shape[0]
+        # W is real: view the complex rows as interleaved real and imaginary
+        # parts, so both are carried by one real product
+        Y = (sigma[:, None] * X.reshape(m, -1)).view(np.float64)
+        Y = W @ (np.exp(-float(t) * lam)[:, None] * (W.T @ Y))
+        out = Y.view(complex) / sigma[:, None]
+        return AlgebraElement._of(A.algebra, (out.reshape(X.shape),))
     lam, V = A.spectral()
     v = A.algebra.vec(x)
-    decay = np.exp(-float(t) * lam)
-    if np.isrealobj(V):
-        # real parts apart, so that V is not cast to complex on every call
-        def prop(u):
-            return V @ (decay * (V.T @ u))
-        w = prop(v.real) + 1j * prop(v.imag)
-    else:
-        w = V @ (decay * (V.conj().T @ v))
-    return A.algebra.unvec(w)
+    return A.algebra.unvec(V @ (np.exp(-float(t) * lam) * (V.conj().T @ v)))
 
 
 def spectral_gap(A):

@@ -272,13 +272,28 @@ def test_broken_generator_exits_three(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config", [
+    {"command": "gap"},
+    {"command": "decay", "f": {"tag": "xlogx"}, "lambda": 1.0, "n_states": 3},
+    {"command": "pnorm", "p": 1.5, "lambda": 0.75, "n_states": 3},
+], ids=["gap", "decay", "pnorm"])
+def test_rt5_k6_runs_past_the_dense_budget(tmp_path, config):
+    # 120 * 6^2 = 4320 coefficients: the walk's gap and semigroup use its
+    # 120 x 120 site spectrum and need no dense matrix
+    model = {"model": "random_transposition", "params": {"n": 5}, "matrix_dim": 6}
+    assert run(dict(config, model=model), out_dir=str(tmp_path / "art"),
+               quiet=True) == 0
+
+
 def test_over_budget_model_refused_before_states_are_drawn(tmp_path,
                                                            monkeypatch):
     def no_states(*args):
         raise AssertionError("states drawn for a model over the dense budget")
 
     monkeypatch.setattr("sobolev_lab.cli._states", no_states)
-    config = {"command": "decay", "model": dict(RT3, matrix_dim=100),
+    # a callable generator needs dense spectra: 2 * 50^2 = 5000 coefficients
+    model = {"model": "depolarizing", "params": {"sites": 2}, "matrix_dim": 50}
+    config = {"command": "decay", "model": model,
               "f": {"tag": "xlogx"}, "lambda": 1.0}
     assert run(config, out_dir=str(tmp_path / "art"), quiet=True) == 2
     assert not (tmp_path / "art").exists()

@@ -248,6 +248,92 @@ def test_semigroup_is_completely_positive():
         assert out.min_eigenvalue() >= -1e-10 * (1.0 + rho.norm())
 
 
+# -- site spectra ---------------------------------------------------------------------
+
+def _weighted_triangle_k2():
+    W = [[0.0, 1.0, 0.5], [1.0, 0.0, 2.0], [0.5, 2.0, 0.0]]
+    return graph_laplacian(W, site_weights=[0.2, 0.3, 0.5], matrix_dim=2)
+
+
+SITE_MODELS = [_weighted_triangle_k2,
+               lambda: ampliate_generator(random_transposition(3), 2)]
+
+
+@pytest.mark.parametrize("build", SITE_MODELS, ids=["graph_weighted_k2", "rt3_amp2"])
+def test_site_semigroup_matches_dense_expm(build):
+    from scipy.linalg import expm
+    A = build()
+    x = random_element(A.algebra, seed=12)
+    assert np.abs(x.stacks[0] - np.conj(np.swapaxes(x.stacks[0], 1, 2))).max() > 0.1
+    for t in (0.0, 0.35, 3.0):
+        v = A.algebra.vec(x, orthonormal=False)
+        expected = A.algebra.unvec(expm(-t * A.plain_matrix()) @ v,
+                                   orthonormal=False).stacks[0]
+        got = semigroup_apply(A, t, x).stacks[0]
+        assert np.abs(got - expected).max() <= 1e-12 * (1.0 + np.abs(expected).max())
+
+
+@pytest.mark.parametrize("build", SITE_MODELS, ids=["graph_weighted_k2", "rt3_amp2"])
+def test_site_gap_matches_dense_spectrum(build):
+    A = build()
+    lam = np.linalg.eigvalsh(A.orth_matrix())
+    assert A.gap() == pytest.approx(float(lam[lam > A.gap_tol][0]), abs=1e-12)
+
+
+def test_rt5_k6_runs_without_dense_data():
+    from scipy.linalg import expm
+    from sobolev_lab.models import MAX_DENSE_COEFF_DIM
+    A = random_transposition(5, matrix_dim=6)
+    assert A.algebra.coeff_dim > MAX_DENSE_COEFF_DIM
+    assert A.gap() == pytest.approx(2.0, abs=1e-9)
+    x = random_element(A.algebra, seed=13)
+    t = 0.4
+    expected = np.tensordot(expm(-t * A.site_matrix), x.stacks[0], axes=(1, 0))
+    got = semigroup_apply(A, t, x).stacks[0]
+    assert np.abs(got - expected).max() <= 1e-12 * (1.0 + np.abs(expected).max())
+    with pytest.raises(ContractViolationError, match="dense spectral data refused"):
+        A.spectral()
+
+
+@pytest.mark.parametrize("site_matrix,message", [
+    ([[-1.0, 1.0], [1.0, -1.0]], "negative mode"),
+    ([[1.0, -1.0], [0.0, 0.0]], "not self-adjoint"),
+], ids=["negative_mode", "not_self_adjoint"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_site_spectrum_refusals(site_matrix, message, k):
+    from sobolev_lab import GeneratorHandle
+    from sobolev_lab.errors import NumericalContractError
+    A = GeneratorHandle(WeightedAlgebra.block_sites(2, k), site_matrix=site_matrix)
+    with pytest.raises(NumericalContractError, match=message):
+        A.gap()
+    with pytest.raises(NumericalContractError, match=message):
+        semigroup_apply(A, 0.1, A.algebra.identity())
+    # the dense path refuses it with the same words
+    with pytest.raises(NumericalContractError, match=message):
+        A.spectral()
+
+
+@pytest.mark.parametrize("build", [lambda: random_transposition(4, matrix_dim=4),
+                                   lambda: bernoulli_laplace(4, 2, matrix_dim=2)],
+                         ids=["rt4_k4", "bl42_k2"])
+def test_decay_path_builds_no_dense_data(build, monkeypatch):
+    from sobolev_lab import GeneratorHandle, decay_check, fisher_decay_check
+    from sobolev_lab.functions import xlogx
+
+    def refuse(self):
+        raise AssertionError("dense data built on the decay path")
+
+    monkeypatch.setattr(GeneratorHandle, "plain_matrix", refuse)
+    monkeypatch.setattr(GeneratorHandle, "spectral", refuse)
+    A = build()
+    assert A.gap() == pytest.approx(A.exact_gap, abs=1e-9)
+    states = [random_positive(A.algebra, floor=1e-3, seed=make_rng(52, s))
+              for s in range(2)]
+    for f in (power(1.5), xlogx()):
+        assert decay_check(A, f, 0.5, states).verdict == "pass"
+        fisher_decay_check(A, f, 0.5, states)
+
+
 # -- ampliation and tensoring ------------------------------------------------------------
 
 def test_ampliation_factor_one_is_the_same_object():
