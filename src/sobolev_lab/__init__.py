@@ -1,9 +1,9 @@
 """Numerical laboratory for entropy decay and Sobolev-type inequalities
 on weighted block-diagonal matrix algebras."""
 
-from .algebra import (AlgebraElement, SpectralDecomposition, WeightedAlgebra,
-                      eigh, inner, make_rng, matrix_function, pair_trace,
-                      random_element, random_positive, trace)
+from .algebra import (AlgebraElement, WeightedAlgebra, eigh, inner, make_rng,
+                      matrix_function, pair_trace, random_element,
+                      random_positive, trace)
 from .certify import (CertificationResult, CheckReport, OptimizerBudget,
                       decay_check, estimate_constant, fisher_decay_check,
                       known_bracket, lemma_rtl_check,
@@ -24,14 +24,13 @@ from .models import (ConditionalExpectation, GeneratorHandle,
                      ampliate_generator, bernoulli_laplace, depolarizing,
                      difference_derivation, graph_laplacian,
                      martingale_subalgebra_expectations, model_from_spec,
-                     random_transposition, semigroup_apply, spectral_gap,
-                     tensor_generator)
+                     random_transposition, semigroup_apply, tensor_generator)
 from .suite import CHECKS, reports_to_csv, suite_run, suite_verdict
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraElement", "SpectralDecomposition", "WeightedAlgebra", "eigh",
+    "AlgebraElement", "WeightedAlgebra", "eigh",
     "inner", "make_rng", "matrix_function", "pair_trace", "random_element",
     "random_positive", "trace",
     "CertificationResult", "CheckReport", "OptimizerBudget", "decay_check",
@@ -50,7 +49,6 @@ __all__ = [
     "ConditionalExpectation", "GeneratorHandle", "ampliate_generator",
     "bernoulli_laplace", "depolarizing", "difference_derivation",
     "graph_laplacian", "martingale_subalgebra_expectations", "model_from_spec",
-    "random_transposition", "semigroup_apply", "spectral_gap",
-    "tensor_generator",
+    "random_transposition", "semigroup_apply", "tensor_generator",
     "CHECKS", "reports_to_csv", "suite_run", "suite_verdict",
 ]

@@ -348,24 +348,6 @@ def p_norm(x, p):
 
 # -- spectral calculus ------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Per-site eigendecomposition of a hermitian element (eigenvalues
-    ascending per block)."""
-
-    algebra: WeightedAlgebra
-    eigenvalues: tuple
-    vectors: tuple
-
-    def reconstruct(self):
-        blocks = [(u * lam) @ u.conj().T
-                  for lam, u in zip(self.eigenvalues, self.vectors)]
-        return AlgebraElement(self.algebra, blocks)
-
-    def min_eigenvalue(self):
-        return min(float(lam[0]) for lam in self.eigenvalues)
-
-
 def _hermitian(arr):
     """A (g, k, k) stack made exactly hermitian; refused when it is not
     hermitian to within the tolerance.  An exactly hermitian stack, such as
@@ -394,15 +376,6 @@ def _floor_at_zero(lam):
     return np.where(lam < 0.0, 0.0, lam)
 
 
-def eigh(h):
-    """Blockwise hermitian eigendecomposition, one batched eigh per dim group."""
-    pairs = [np.linalg.eigh(_hermitian(arr)) for arr in h.stacks]
-    slots = h.algebra.site_slots
-    return SpectralDecomposition(h.algebra,
-                                 tuple(pairs[g][0][j] for g, j in slots),
-                                 tuple(pairs[g][1][j] for g, j in slots))
-
-
 def stack_adjoint(arr):
     """Conjugate transpose of each block of a (g, k, k) stack."""
     return np.conj(np.swapaxes(arr, -1, -2))
@@ -413,53 +386,32 @@ def stack_function(U, values):
     return (U * values[..., None, :]) @ stack_adjoint(U)
 
 
-def grouped_eigh(x):
+def eigh(h):
     """Eigenpairs of a hermitian element, one batched eigh per dim group.
 
     Returns [(site indices, eigenvalues (g, k), vectors (g, k, k))] over
-    algebra.dim_groups, with the checks of eigh and floored_eigenvalues:
-    non-hermitian blocks and genuinely negative eigenvalues are refused,
-    tiny negative ones are clamped to zero.
+    algebra.dim_groups, eigenvalues ascending per block.  Non-hermitian
+    blocks are refused; indefinite hermitian elements are accepted.
     """
-    out = []
-    for (_, idx), arr in zip(x.algebra.dim_groups, x.stacks):
-        lam, u = np.linalg.eigh(_hermitian(arr))
-        out.append((idx, _floor_at_zero(lam), u))
-    return out
+    return [(idx, *np.linalg.eigh(_hermitian(arr)))
+            for (_, idx), arr in zip(h.algebra.dim_groups, h.stacks)]
 
 
-def floored_eigenvalues(spec, floor=None, shift=0.0):
-    """Eigenvalue arrays after the standard positivity flooring.
-
-    Values in [-1e-10 * max|lambda|, 0) are clamped to zero; anything more
-    negative raises.  An optional floor then lower-bounds the result and an
-    optional shift translates it (used for the f'(rho + eps) evaluations).
-    """
-    out = []
-    for lam in spec.eigenvalues:
-        lam = _floor_at_zero(lam)
-        if shift:
-            lam = lam + shift
-        if floor is not None:
-            lam = np.maximum(lam, floor)
-        out.append(lam)
-    return out
+def _positive_eigh(x):
+    """eigh of a positive element: eigenvalues in [-1e-10 * max|lambda|, 0)
+    are clamped to zero and anything more negative is refused."""
+    return [(idx, _floor_at_zero(lam), U) for idx, lam, U in eigh(x)]
 
 
-def matrix_function(f, rho, order=0, floor=None, shift=0.0):
-    """f(rho) (or f'(rho), f''(rho) for order 1, 2) by spectral calculus.
+def matrix_function(f, rho, order=0):
+    """f(rho) (or f'(rho), f''(rho) for order 1, 2) by spectral calculus,
+    one stack_function per dim group.
 
-    rho may be an AlgebraElement or a precomputed SpectralDecomposition.
     Eigenvalues are floored at zero first (tiny negatives clamped, genuine
-    negatives rejected); pass floor to impose an epsilon-floor and shift to
-    evaluate at rho + shift*1.
+    negatives refused).
     """
-    spec = rho if isinstance(rho, SpectralDecomposition) else eigh(rho)
-    lams = floored_eigenvalues(spec, floor=floor, shift=shift)
-    blocks = []
-    for lam, u in zip(lams, spec.vectors):
-        blocks.append((u * f.eval_order(lam, order)) @ u.conj().T)
-    return AlgebraElement(spec.algebra, blocks)
+    return AlgebraElement._of(rho.algebra, tuple(
+        stack_function(U, f.eval_order(lam, order)) for _, lam, U in _positive_eigh(rho)))
 
 
 # -- ampliation and tensor products ------------------------------------------

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .algebra import (AlgebraElement, WeightedAlgebra, element_to_json,
-                      grouped_eigh, make_rng, p_norm, random_positive,
-                      stack_adjoint, stack_function)
+from .algebra import (AlgebraElement, WeightedAlgebra, _positive_eigh,
+                      element_to_json, make_rng, matrix_function, p_norm,
+                      random_positive, stack_adjoint, stack_function)
 from .entropy import (_fisher_at_shift, _subalgebra_entropy, bregman,
                       entropy_vs_subalgebra, fisher_generator)
 from .errors import (ContractViolationError, DegenerateStateError, DomainError,
@@ -181,10 +181,10 @@ def _ratio_terms(A, f, rho):
 
     R = I/D with D = entropy_vs_subalgebra(f, rho, A.expectation) and
     I = fisher_generator(A, f, rho), both from one eigendecomposition of rho;
-    the eigenpairs come grouped as algebra.grouped_eigh gives them and f'(rho)
+    the eigenpairs come grouped as algebra.eigh gives them and f'(rho)
     as one stack per dim group.
     """
-    groups = grouped_eigh(rho)
+    groups = _positive_eigh(rho)
     den, e_groups = _subalgebra_entropy(f, rho, groups, A.expectation)
     if not den > DENOMINATOR_FLOOR:
         raise DegenerateStateError(
@@ -483,10 +483,7 @@ def lemma_rtl_check(n=2, matrix_dim=1, p=1.5, trials=100, seed=0):
     for trial in range(int(trials)):
         fel = random_positive(alg, floor=1e-3, seed=make_rng(seed, 11, trial))
         lhs = entropy_vs_subalgebra(fp, fel, E).value
-        pow_blocks = []
-        for b in fel.blocks:
-            lam, U = np.linalg.eigh(b)
-            pow_blocks.append((U * np.maximum(lam, 0.0) ** (p - 1.0)) @ U.conj().T)
+        pow_blocks = matrix_function(power(p - 1.0), fel).blocks
         rhs = 0.0
         for x in range(n):
             for y in range(n):

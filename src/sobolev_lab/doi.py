@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (DEFAULT_CLUSTER_TOL, AlgebraElement, SpectralDecomposition,
-                      WeightedAlgebra, eigh, floored_eigenvalues, make_rng,
-                      random_positive)
+from .algebra import (DEFAULT_CLUSTER_TOL, AlgebraElement, WeightedAlgebra,
+                      _positive_eigh, make_rng, random_positive, stack_adjoint)
 from .channels import random_mixed_unitary
 from .errors import AlgebraMismatchError, ContractViolationError, DomainError
 from .functions import divided_diff_grid
@@ -109,49 +108,45 @@ def fisher_kernel(f):
 
 # -- operator integrals -------------------------------------------------------
 
-def _as_spec(state):
-    return state if isinstance(state, SpectralDecomposition) else eigh(state)
+def _kernel_groups(F, rho, sigma):
+    """(site indices, grams (g, k, k), U_rho, U_sigma) per dim group, the
+    grams of F over the spectra floored at F.floor; F.gram takes one
+    block's grids at a time."""
+    if rho.algebra != sigma.algebra:
+        raise AlgebraMismatchError("states live on different algebras")
+    out = []
+    for (idx, lam, U), (_, mu, V) in zip(_positive_eigh(rho), _positive_eigh(sigma)):
+        s, t = np.maximum(lam, F.floor), np.maximum(mu, F.floor)
+        out.append((idx, np.array([F.gram(x, y) for x, y in zip(s, t)]), U, V))
+    return out
 
 
-def _check_aligned(spec_rho, spec_sigma, algebra):
-    if spec_rho.algebra != algebra or spec_sigma.algebra != algebra:
-        raise AlgebraMismatchError("spectral data and argument live on different algebras")
+def schur_q(F, rho, sigma, a):
+    """Apply the Schur-multiplier operator integral of F at (rho, sigma) to a,
+    one batched product per dim group."""
+    if a.algebra != rho.algebra:
+        raise AlgebraMismatchError("states and argument live on different algebras")
+    return AlgebraElement._of(a.algebra, tuple(
+        U @ (M * (stack_adjoint(U) @ b @ V)) @ stack_adjoint(V)
+        for (_, M, U, V), b in zip(_kernel_groups(F, rho, sigma), a.stacks)))
 
 
-def schur_q(F, spec_rho, spec_sigma, a):
-    """Apply the Schur-multiplier operator integral of F to a, blockwise."""
-    spec_rho = _as_spec(spec_rho)
-    spec_sigma = _as_spec(spec_sigma)
-    _check_aligned(spec_rho, spec_sigma, a.algebra)
-    ss = floored_eigenvalues(spec_rho, floor=F.floor)
-    tt = floored_eigenvalues(spec_sigma, floor=F.floor)
-    blocks = []
-    for s, t, ur, us, b in zip(ss, tt, spec_rho.vectors, spec_sigma.vectors, a.blocks):
-        m = F.gram(s, t)
-        w = ur.conj().T @ b @ us
-        blocks.append(ur @ (m * w) @ us.conj().T)
-    return AlgebraElement(a.algebra, blocks)
-
-
-def superoperator_matrix(F, spec_rho, spec_sigma):
-    """Dense matrix of Q_F on row-major matrix-unit coefficients.
+def superoperator_matrix(F, rho, sigma):
+    """Dense matrix of Q_F at (rho, sigma) on row-major matrix-unit coefficients.
 
     Returns the direct sum over sites; the matrix is identical in the
     orthonormal tau-basis because the within-site scale factors cancel.
     """
-    spec_rho = _as_spec(spec_rho)
-    spec_sigma = _as_spec(spec_sigma)
-    if spec_rho.algebra != spec_sigma.algebra:
-        raise AlgebraMismatchError("spectral data live on different algebras")
-    alg = spec_rho.algebra
-    ss = floored_eigenvalues(spec_rho, floor=F.floor)
-    tt = floored_eigenvalues(spec_sigma, floor=F.floor)
+    alg = rho.algebra
     out = np.zeros((alg.coeff_dim, alg.coeff_dim), dtype=complex)
-    for s, t, ur, us, off, k in zip(ss, tt, spec_rho.vectors, spec_sigma.vectors,
-                                    alg.offsets, alg.dims):
-        m = F.gram(s, t)
-        v = np.kron(ur, us.conj())
-        out[off:off + k * k, off:off + k * k] = (v * m.reshape(-1)) @ v.conj().T
+    for idx, M, U, V in _kernel_groups(F, rho, sigma):
+        g, k = U.shape[:2]
+        # kron(U_s, conj(V_s)) for every block s of the group
+        W = (U[:, :, None, :, None] * V.conj()[:, None, :, None, :]).reshape(g, k * k, k * k)
+        blocks = (W * M.reshape(g, 1, k * k)) @ stack_adjoint(W)
+        for s, block in zip(idx, blocks):
+            off = alg.offsets[s]
+            out[off:off + k * k, off:off + k * k] = block
     return out
 
 
@@ -231,8 +226,8 @@ def cone_test(F, side="plus", trials=100, dims=(2, 3, 4), env_dims=(1, 2, 4),
             beta = random_mixed_unitary(d, e, rng)
             b_rho = beta.apply(rho).hermitian_part()
             b_sigma = beta.apply(sigma).hermitian_part()
-            s_in = superoperator_matrix(F, eigh(rho), eigh(sigma))
-            s_out = superoperator_matrix(F, eigh(b_rho), eigh(b_sigma))
+            s_in = superoperator_matrix(F, rho, sigma)
+            s_out = superoperator_matrix(F, b_rho, b_sigma)
             B = beta.matrix()
             if side == "plus":
                 delta = s_in - B.conj().T @ s_out @ B

@@ -14,14 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (DEFAULT_CLUSTER_TOL, AlgebraElement, WeightedAlgebra, eigh,
-                      floored_eigenvalues, grouped_eigh, inner, stack_adjoint,
-                      stack_function)
+from .algebra import (AlgebraElement, WeightedAlgebra, _positive_eigh, inner,
+                      stack_adjoint, stack_function)
 from .doi import DEFAULT_KERNEL_FLOOR, schur_q
 from .errors import AlgebraMismatchError, ContractViolationError
 from .functions import bregman_gap, divided_diff_grid
-
-DEFAULT_EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
@@ -78,7 +75,7 @@ def bregman(f, rho, sigma, epsilon=0.0):
         raise AlgebraMismatchError("bregman arguments live on different algebras")
     if epsilon < 0.0:
         raise ContractViolationError("epsilon must be nonnegative")
-    value = _bregman_sum(f, rho.algebra, grouped_eigh(rho), grouped_eigh(sigma),
+    value = _bregman_sum(f, rho.algebra, _positive_eigh(rho), _positive_eigh(sigma),
                          shift=epsilon)
     return EntropyValue(value, float(epsilon), f.label)
 
@@ -92,14 +89,14 @@ def entropy_vs_subalgebra(f, rho, expectation):
     traces loses.  Non-hermitian input and genuinely negative eigenvalues
     are refused.
     """
-    value, _ = _subalgebra_entropy(f, rho, grouped_eigh(rho), expectation)
+    value, _ = _subalgebra_entropy(f, rho, _positive_eigh(rho), expectation)
     return EntropyValue(value, 0.0, f.label)
 
 
 def _subalgebra_entropy(f, rho, rho_groups, expectation):
     """entropy_vs_subalgebra's value from the grouped eigenpairs of rho,
     with the grouped eigenpairs of E rho that it computes."""
-    e_groups = grouped_eigh(expectation.apply(rho).hermitian_part())
+    e_groups = _positive_eigh(expectation.apply(rho).hermitian_part())
     return (_bregman_sum(f, rho.algebra, rho_groups, e_groups, kernel_rule=True),
             e_groups)
 
@@ -126,7 +123,7 @@ def fisher_generator(generator, f, rho, epsilon=0.0):
     if epsilon < 0.0:
         raise ContractViolationError("epsilon must be nonnegative")
     a_rho = generator.apply(rho)
-    groups = grouped_eigh(rho)
+    groups = _positive_eigh(rho)
     if epsilon == 0.0:
         return _fisher_at_shift(a_rho, groups, f, 0.0)[0]
     if min(float(lam[:, 0].min()) for _, lam, _ in groups) > 0.0:
@@ -138,9 +135,7 @@ def fisher_generator(generator, f, rho, epsilon=0.0):
 
 def monotone_metric(F, rho, sigma, a, b):
     """gamma^F_{rho,sigma}(a, b) = <a, Q_F^{rho,sigma}(b)>_tau."""
-    spec_rho = eigh(rho)
-    spec_sigma = eigh(sigma)
-    return inner(a, schur_q(F, spec_rho, spec_sigma, b))
+    return inner(a, schur_q(F, rho, sigma, b))
 
 
 # -- derivations ---------------------------------------------------------------
@@ -245,7 +240,7 @@ def difference_derivation_from_moves(algebra, moves):
                             pair_rates=rates, rate_norm=Z)
 
 
-def fisher_derivation(delta, f, rho, weights=None, cluster_tol=None):
+def fisher_derivation(delta, f, rho, weights=None):
     """I^f_delta(rho) = <delta(rho), Q^rho_{f^[2]} delta(rho)>_target.
 
     The multiplier uses the spectral data of rho lifted into the target
@@ -254,15 +249,17 @@ def fisher_derivation(delta, f, rho, weights=None, cluster_tol=None):
     same nonnegative per-site density against a different trace on the
     source, which is what the change-of-measure comparisons need.
     """
-    tol = DEFAULT_CLUSTER_TOL if cluster_tol is None else cluster_tol
-    spec = eigh(rho)
-    lams = floored_eigenvalues(spec, floor=DEFAULT_KERNEL_FLOOR)
+    groups = [(np.maximum(lam, DEFAULT_KERNEL_FLOOR), U) for _, lam, U in _positive_eigh(rho)]
+    slots = rho.algebra.site_slots
     xi = delta.apply(rho)
     nu = delta.target_weights(weights)
     total = 0.0
-    for t_idx, (ls, rs) in enumerate(zip(delta.left_sites, delta.right_sites)):
-        m = divided_diff_grid(f, 2, lams[ls], lams[rs], tol)
-        w = spec.vectors[ls].conj().T @ xi.blocks[t_idx] @ spec.vectors[rs]
-        val = float(np.sum(m * np.abs(w) ** 2))
-        total += float(nu[t_idx]) * val / delta.target.dims[t_idx]
-    return float(total)
+    for (k, moves), xs in zip(delta.target.dim_groups, xi.stacks):
+        # every source site of a dim-k target site lies in the dim-k group
+        lam, U = groups[slots[delta.left_sites[moves[0]]][0]]
+        left = [slots[delta.left_sites[t]][1] for t in moves]
+        right = [slots[delta.right_sites[t]][1] for t in moves]
+        m = divided_diff_grid(f, 2, lam[left], lam[right])
+        w = stack_adjoint(U[left]) @ xs @ U[right]
+        total += float(nu[moves] @ np.sum(m * np.abs(w) ** 2, axis=(-2, -1))) / k
+    return total

@@ -161,16 +161,6 @@ class ConditionalExpectation:
                 self._plain = _matrix_by_application(self.algebra, self._apply_fn)
             return self._plain
 
-    def rebind(self, algebra):
-        """Transport a structural expectation to an algebra with matching sites."""
-        if algebra.n_sites != self.algebra.n_sites:
-            raise ContractViolationError("rebind requires the same number of sites")
-        if self.kind == "partition":
-            return ConditionalExpectation.from_partition(algebra, self.cells)
-        if self.kind == "full":
-            return ConditionalExpectation.full_average(algebra)
-        raise ContractViolationError("only structural expectations can be rebound")
-
 
 def _as_cells(E):
     """Partition view of an expectation when one exists, else None."""
@@ -384,11 +374,6 @@ def semigroup_apply(A, t, x):
     return A.algebra.unvec(V @ (np.exp(-float(t) * lam) * (V.conj().T @ v)))
 
 
-def spectral_gap(A):
-    """Smallest eigenvalue above the kernel tolerance."""
-    return A.gap()
-
-
 # -- builders ------------------------------------------------------------------
 
 def random_transposition(n, matrix_dim=1):
@@ -562,7 +547,7 @@ def ampliate_generator(A, factor):
 
     E1 = A.expectation
     if E1.kind == "partition":
-        E2 = E1.rebind(alg2)
+        E2 = ConditionalExpectation.from_partition(alg2, E1.cells)
     else:
         E2 = ConditionalExpectation(alg2, lift(E1.matrix()), kind="lifted")
     spec = None

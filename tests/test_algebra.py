@@ -1,5 +1,8 @@
 """Weighted block algebras: trace, spectral calculus, ampliation, sampling."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -23,6 +26,7 @@ from sobolev_lab.algebra import (
     element_from_json,
     element_to_json,
     p_norm,
+    stack_function,
 )
 from sobolev_lab.functions import power, xlogx
 
@@ -114,17 +118,23 @@ def test_vec_matches_inner():
 
 # -- eigh ----------------------------------------------------------------------
 
+def reconstruct(x):
+    """U diag(lambda) U* per dim group from the eigenpairs of x."""
+    return AlgebraElement._of(x.algebra, tuple(stack_function(U, lam)
+                                               for _, lam, U in eigh(x)))
+
+
 def test_eigh_identity_single_cluster():
     alg = WeightedAlgebra.full_matrix(3)
-    spec = eigh(alg.identity())
-    np.testing.assert_allclose(spec.eigenvalues[0], [1.0, 1.0, 1.0], atol=1e-14)
+    [(_, lam, _)] = eigh(alg.identity())
+    np.testing.assert_allclose(lam[0], [1.0, 1.0, 1.0], atol=1e-14)
 
 
 def test_eigh_diagonal_three_clusters():
     alg = WeightedAlgebra.full_matrix(3)
     h = AlgebraElement(alg, [np.diag([1.0, 2.0, 3.0]).astype(complex)])
-    spec = eigh(h)
-    np.testing.assert_allclose(spec.eigenvalues[0], [1.0, 2.0, 3.0], atol=1e-14)
+    [(_, lam, _)] = eigh(h)
+    np.testing.assert_allclose(lam[0], [1.0, 2.0, 3.0], atol=1e-14)
 
 
 @given(s=seeds)
@@ -132,8 +142,7 @@ def test_eigh_diagonal_three_clusters():
 def test_eigh_reconstruction(s):
     alg = WeightedAlgebra.full_matrix(6)
     h = random_element(alg, seed=s, hermitian=True)
-    spec = eigh(h)
-    err = (spec.reconstruct() - h).norm()
+    err = (reconstruct(h) - h).norm()
     assert err <= 1e-10 * (1.0 + h.norm())
 
 
@@ -387,3 +396,109 @@ def test_entropy_and_fisher_on_mixed_dims(f):
                  for m, k, r, e in zip(mu, alg.dims, b, e_blocks))
     assert entropy_vs_subalgebra(f, rho, E).value == pytest.approx(entropy, rel=1e-10)
     assert fisher_generator(A, f, rho) == pytest.approx(fisher, rel=1e-10)
+
+
+# -- the spectral calculus on mixed dims ---------------------------------------
+
+def per_block_eigh(b):
+    return np.linalg.eigh(0.5 * (b + b.conj().T))
+
+
+def test_eigh_groups_follow_the_dim_groups():
+    alg = interleaved_algebra()
+    h = random_element(alg, seed=38, hermitian=True)  # indefinite
+    groups = eigh(h)
+    assert [idx.tolist() for idx, _, _ in groups] == [[0, 2], [1, 3]]
+    for (k, idx), (_, lam, U) in zip(alg.dim_groups, groups):
+        assert lam.shape == (len(idx), k) and U.shape == (len(idx), k, k)
+        for j, s in enumerate(idx):
+            np.testing.assert_allclose(lam[j], np.linalg.eigvalsh(h.blocks[s]),
+                                       rtol=0.0, atol=1e-13)
+    assert min(float(lam.min()) for _, lam, _ in groups) < 0.0
+    assert (reconstruct(h) - h).norm() <= 1e-12 * (1.0 + h.norm())
+
+
+def test_matrix_function_on_mixed_dims():
+    alg = interleaved_algebra()
+    rho = random_positive(alg, floor=1e-2, seed=39)
+    out = matrix_function(power(1.5), rho, order=1)
+    for got, b in zip(out.blocks, rho.blocks):
+        lam, U = per_block_eigh(b)
+        np.testing.assert_allclose(got, (U * 1.5 * lam ** 0.5) @ U.conj().T,
+                                   rtol=0.0, atol=1e-12)
+
+
+def per_block_schur(rho_b, sigma_b, a_b):
+    """Q_F(a) of the log-difference kernel on one block."""
+    s, U = per_block_eigh(rho_b)
+    t, V = per_block_eigh(sigma_b)
+    M = np.subtract.outer(np.log(s), np.log(t)) / np.subtract.outer(s, t)
+    return U @ (M * (U.conj().T @ a_b @ V)) @ V.conj().T
+
+
+def test_schur_q_and_superoperator_matrix_on_mixed_dims():
+    from sobolev_lab import log_difference, schur_q, superoperator_matrix
+    alg = interleaved_algebra()
+    rho = random_positive(alg, floor=1e-2, seed=40)
+    sigma = random_positive(alg, floor=1e-2, seed=41)
+    a = random_element(alg, seed=42)
+    F = log_difference()
+    want = [per_block_schur(r, s, b) for r, s, b in zip(rho.blocks, sigma.blocks, a.blocks)]
+    for got, w in zip(schur_q(F, rho, sigma, a).blocks, want):
+        np.testing.assert_allclose(got, w, rtol=0.0, atol=1e-12)
+    S = superoperator_matrix(F, rho, sigma)
+    expected = np.zeros_like(S)
+    for site, (k, off) in enumerate(zip(alg.dims, alg.offsets)):
+        for col in range(k * k):
+            unit = np.zeros(k * k, dtype=complex)
+            unit[col] = 1.0
+            image = per_block_schur(rho.blocks[site], sigma.blocks[site], unit.reshape(k, k))
+            expected[off:off + k * k, off + col] = image.reshape(-1)
+    np.testing.assert_allclose(S, expected, rtol=0.0, atol=1e-12)
+
+
+def test_fisher_derivation_on_mixed_dims():
+    from sobolev_lab import difference_derivation_from_moves, fisher_derivation
+    alg = interleaved_algebra()
+    moves = [(0, 2, 1.0), (2, 0, 0.5), (1, 3, 2.0), (3, 1, 0.25)]
+    delta = difference_derivation_from_moves(alg, moves)
+    rho = random_positive(alg, floor=1e-2, seed=43)
+    b, mu = rho.blocks, alg.weights
+    Z = sum(mu[s] * r for s, _, r in moves)
+    want = 0.0
+    for s, t, r in moves:
+        lam, U = per_block_eigh(b[s])
+        nu, V = per_block_eigh(b[t])
+        # f = x^1.5: f^[2](x, y) = (f'(x) - f'(y))/(x - y), f'(x) = 1.5 sqrt(x)
+        M = 1.5 * np.subtract.outer(np.sqrt(lam), np.sqrt(nu)) / np.subtract.outer(lam, nu)
+        w = U.conj().T @ (np.sqrt(Z / 2.0) * (b[s] - b[t])) @ V
+        want += mu[s] * r / Z * np.sum(M * np.abs(w) ** 2) / alg.dims[s]
+    assert fisher_derivation(delta, power(1.5), rho) == pytest.approx(want, rel=1e-10)
+
+
+def linalg_eig_uses(node, func=None):
+    """(enclosing function, line) of each linalg.eigh / linalg.eigvalsh below node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from linalg_eig_uses(child, child.name)
+            continue
+        if (isinstance(child, ast.Attribute) and child.attr in ("eigh", "eigvalsh")
+                and isinstance(child.value, ast.Attribute) and child.value.attr == "linalg"):
+            yield func, child.lineno
+        yield from linalg_eig_uses(child, func)
+
+
+def test_no_second_spectral_calculus():
+    """Eigendecompositions go through algebra.eigh.  The other uses of
+    numpy's eigh/eigvalsh in the package are listed here: the dense
+    generator spectrum and the cone test's PSD check of a dense
+    superoperator difference."""
+    import sobolev_lab
+    allowed = {("models", "_checked_spectrum"), ("doi", "cone_test")}
+    found = []
+    for path in sorted(Path(sobolev_lab.__file__).parent.glob("*.py")):
+        if path.stem != "algebra":
+            found += [f"{path.stem}.{func}: line {line}"
+                      for func, line in linalg_eig_uses(ast.parse(path.read_text()))
+                      if (path.stem, func) not in allowed]
+    assert found == []

@@ -100,18 +100,14 @@ def test_ratio_eigendecomposes_rho_once(monkeypatch):
     # one eigendecomposition of rho, shared by entropy and Fisher form, and
     # one of E rho
     import sobolev_lab.algebra as algebra_mod
-    import sobolev_lab.certify as certify_mod
-    import sobolev_lab.entropy as entropy_mod
     calls = []
-    original = algebra_mod.grouped_eigh
+    original = algebra_mod.eigh
 
     def counted(x):
         calls.append(x)
         return original(x)
 
-    for mod in (algebra_mod, entropy_mod, certify_mod):
-        if hasattr(mod, "grouped_eigh"):
-            monkeypatch.setattr(mod, "grouped_eigh", counted)
+    monkeypatch.setattr(algebra_mod, "eigh", counted)
     A = random_transposition(3, 2)
     rho = random_positive(A.algebra, floor=1e-3, seed=4)
     sobolev_ratio(A, power(1.5), rho)

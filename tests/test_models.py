@@ -23,7 +23,6 @@ from sobolev_lab import (
     random_positive,
     random_transposition,
     semigroup_apply,
-    spectral_gap,
     tensor_generator,
     trace,
 )
@@ -363,7 +362,7 @@ def test_tensor_gap_is_the_minimum():
     A1 = random_transposition(3)  # gap 2
     A2 = depolarizing(ConditionalExpectation.full_average(WeightedAlgebra.full_matrix(2)))
     T = tensor_generator(A1, A2)  # gap 1
-    assert spectral_gap(T) == pytest.approx(1.0, abs=1e-9)
+    assert T.gap() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_tensor_semigroup_factorizes_on_product_states():
