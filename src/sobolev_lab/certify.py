@@ -70,17 +70,21 @@ def parallel_map(fn, items):
 
 # -- reports -------------------------------------------------------------------
 
-def _allowed(tol_abs, tol_rel, record):
-    return tol_abs + tol_rel * float(record.get("scale", 0.0))
+def _fails(record, tol_abs, tol_rel):
+    """A record fails unless slack >= -(absolute + relative * scale); a NaN
+    slack therefore fails."""
+    allowed = tol_abs + tol_rel * float(record.get("scale", 0.0))
+    return not record["slack"] >= -allowed
 
 
 @dataclass(frozen=True)
 class CheckReport:
     """Signed-slack record batch with a derived verdict.
 
-    A record fails when slack < -(absolute + relative * scale); the verdict
-    is "fail" exactly when some record fails.  Informational reports keep the
-    honest verdict but are not gated on by the suite aggregate.
+    A record fails unless slack >= -(absolute + relative * scale), so a NaN
+    slack fails; the verdict is "fail" exactly when some record fails.
+    Informational reports keep the honest verdict but are not gated on by
+    the suite aggregate.
     """
 
     check_id: str
@@ -100,7 +104,7 @@ class CheckReport:
     def from_records(cls, check_id, records, tol_abs, tol_rel, trials=None,
                      informational=False, meta=None):
         records = tuple(dict(r) for r in records)
-        bad = any(r["slack"] < -_allowed(tol_abs, tol_rel, r) for r in records)
+        bad = any(_fails(r, tol_abs, tol_rel) for r in records)
         return cls(check_id=str(check_id),
                    trials=int(trials if trials is not None else len(records)),
                    tolerance=(float(tol_abs), float(tol_rel)),
@@ -116,7 +120,7 @@ class CheckReport:
     @property
     def violations(self):
         ta, tr = self.tolerance
-        return tuple(r for r in self.records if r["slack"] < -_allowed(ta, tr, r))
+        return tuple(r for r in self.records if _fails(r, ta, tr))
 
     def to_json(self):
         return {

@@ -85,8 +85,9 @@ SCHEMAS = {
                                    "p": {"type": "number"}}},
             side={"enum": ["plus", "minus"]},
             trials={"type": "integer", "minimum": 1},
-            dims={"type": "array", "items": {"type": "integer", "minimum": 2}},
-            env_dims={"type": "array",
+            dims={"type": "array", "minItems": 1,
+                  "items": {"type": "integer", "minimum": 2}},
+            env_dims={"type": "array", "minItems": 1,
                       "items": {"type": "integer", "minimum": 1}}),
     },
     "dpi-test": {
@@ -154,14 +155,8 @@ def emit_decay_curve(A, f, rho, t_grid, path, lam):
 
 
 def _build_model(config):
-    A = model_from_spec(config["model"])
-    k = int(config.get("ampliation", 1))
-    if k > 1:
-        A = ampliate_generator(A, k)
-    # build the spectrum semigroup_apply uses, so that a model over the dense
-    # budget is refused before states are drawn
-    A.spectrum()
-    return A
+    return ampliate_generator(model_from_spec(config["model"]),
+                              int(config.get("ampliation", 1)))
 
 
 def _states(A, n, seed, floor=1e-3):
@@ -366,6 +361,15 @@ def run(config, out_dir=None, seed=None, check_filter=None, quiet=False):
         return 2
 
 
+def _finite_float(text):
+    """A JSON number as a float; NaN, Infinity and overflowing literals are
+    refused, as no config field takes a non-finite value."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text} in config")
+    return value
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="sobolev-lab",
@@ -385,8 +389,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         with open(args.config) as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            config = json.load(fh, parse_float=_finite_float,
+                               parse_constant=_finite_float)
+    except (OSError, ValueError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
     return run(config, out_dir=args.out, seed=args.seed,

@@ -1,15 +1,13 @@
 """Reversible jump generators and conditional expectations at desk scale.
 
-Generators are kept abstract (an action on algebra elements).  A site-matrix
-generator L (x) id_{M_k}, such as the transposition and occupancy walks and
-weighted graph Laplacians, has the spectrum of its m x m site matrix, each
-eigenvalue repeated k^2 times; its gap and semigroup come from that site
-spectrum and need no dense matrix, so they run at any block dim.  Other
-generators (callables, dense matrices, tensor products) materialize dense
-spectral data lazily and only below a hard coefficient-dimension budget.
-Builders cover the transposition walk on permutations, the occupancy-swap
-walk, depolarizing maps and weighted graph Laplacians; all of them are
-self-adjoint for the weighted trace and positive semidefinite.
+A generator is a site matrix L (x) id_{M_k} (the transposition and
+occupancy walks, weighted graph Laplacians), a depolarizer id - E, or a
+tensor of two generators.  Each form carries its own action, semigroup, gap
+and fixed-point expectation (see GeneratorHandle), so none needs a dense
+matrix to run; dense spectral data is built only for matrix export and the
+search's gap directions, below a hard coefficient-dimension budget.  All
+built-in generators are self-adjoint for the weighted trace and positive
+semidefinite.
 """
 
 from __future__ import annotations
@@ -29,9 +27,9 @@ from .errors import (AlgebraMismatchError, ContractViolationError,
                      NumericalContractError)
 
 DEFAULT_GAP_TOL = 1e-9
-# Dense (coeff_dim x coeff_dim) data is built for callable and plain
-# generators, tensor_generator's factors, export_matrix_csv and the search's
-# gap directions; site-matrix generators need none for gap and semigroup.
+# Dense (coeff_dim x coeff_dim) data is built only for export_matrix_csv and
+# the search's gap directions; no generator form needs it for its action,
+# semigroup, gap or expectation.
 MAX_DENSE_COEFF_DIM = 4096
 
 
@@ -89,13 +87,11 @@ def _matrix_by_application(algebra, ap):
 class ConditionalExpectation:
     """tau-preserving idempotent positive projection onto a subalgebra."""
 
-    def __init__(self, algebra, apply_fn, kind="dense", cells=None, plain=None):
+    def __init__(self, algebra, apply_fn, kind="lifted", cells=None):
         self.algebra = algebra
         self._apply_fn = apply_fn
         self.kind = kind
         self.cells = cells
-        self._plain = plain
-        self._lock = threading.Lock()
 
     @classmethod
     def from_partition(cls, algebra, cells):
@@ -137,29 +133,10 @@ class ConditionalExpectation:
 
         return cls(algebra, ap, kind="full")
 
-    @classmethod
-    def from_matrix(cls, algebra, plain):
-        plain = np.asarray(plain)
-        D = algebra.coeff_dim
-        if plain.shape != (D, D):
-            raise ContractViolationError("expectation matrix has the wrong shape")
-
-        def ap(x):
-            v = algebra.vec(x, orthonormal=False)
-            return algebra.unvec(plain @ v, orthonormal=False)
-
-        return cls(algebra, ap, kind="dense", plain=plain)
-
     def apply(self, x):
         if x.algebra != self.algebra:
             raise AlgebraMismatchError("conditional expectation fed a foreign element")
         return self._apply_fn(x)
-
-    def matrix(self):
-        with self._lock:
-            if self._plain is None:
-                self._plain = _matrix_by_application(self.algebra, self._apply_fn)
-            return self._plain
 
 
 def _as_cells(E):
@@ -180,6 +157,24 @@ def site_apply(L, arr):
     m = arr.shape[0]
     centered = arr - arr.sum(axis=0) / m
     return (L @ centered.reshape(m, -1)).reshape(arr.shape)
+
+
+def _on_factors(x, alg1, alg2, map1=None, map2=None):
+    """(map1 (x) map2)(x) for an element x of a product of alg1 and alg2.
+
+    map1 and map2 are linear maps on the factor algebras (None stands for the
+    identity).  map1 acts on the columns of factor_coeff_matrix(x), each the
+    plain coefficients of an alg1 element, and map2 on its rows.
+    """
+    def through(alg, fn, v):
+        return alg.vec(fn(alg.unvec(v, orthonormal=False)), orthonormal=False)
+
+    C = factor_coeff_matrix(x, alg1, alg2)
+    if map1 is not None:
+        C = np.stack([through(alg1, map1, c) for c in C.T], axis=1)
+    if map2 is not None:
+        C = np.stack([through(alg2, map2, r) for r in C])
+    return element_from_factor_coeffs(C, alg1, alg2, x.algebra)
 
 
 def _check_moves(n_sites, moves):
@@ -203,44 +198,30 @@ def _check_moves(n_sites, moves):
         raise ContractViolationError("configuration graph is not connected")
 
 
-def _lifted_expectation(E1, E2, alg1, alg2, product_algebra):
-    """E1 (x) E2 on the product algebra, structurally when possible."""
-    c1, c2 = _as_cells(E1), _as_cells(E2)
-    n2 = alg2.n_sites
-    if c1 is not None and c2 is not None:
-        cells = tuple(tuple(s1 * n2 + s2 for s1 in cell1 for s2 in cell2)
-                      for cell1 in c1 for cell2 in c2)
-        return ConditionalExpectation.from_partition(product_algebra, cells)
-    if E1.kind == "full" and E2.kind == "full":
-        return ConditionalExpectation.full_average(product_algebra)
-    T1, T2 = E1.matrix(), E2.matrix()
-
-    def ap(x):
-        C = factor_coeff_matrix(x, alg1, alg2)
-        return element_from_factor_coeffs(T1 @ C @ T2.T, alg1, alg2, product_algebra)
-
-    return ConditionalExpectation(product_algebra, ap, kind="lifted")
-
-
 class GeneratorHandle:
     """Self-adjoint positive generator of a trace-symmetric Markov semigroup.
 
-    The action is whichever of site_matrix (block mixing with one scalar per
-    site pair, rows summing to zero), a dense plain-coefficient matrix, or a
-    python callable was given.  A site-matrix generator keeps one cached
-    eigendecomposition of its m x m site matrix, which serves gap() and
-    semigroup_apply at any block dim.  Dense spectral data (plain_matrix,
-    orth_matrix, spectral) is cached lazily behind a lock and refused above
-    MAX_DENSE_COEFF_DIM coefficients; site-matrix generators build it only
-    for export, tensor products, the search's gap directions and a
-    fixed-point expectation that was not given.
+    Three forms, told apart by the arguments:
+
+    - site_matrix=L: L (x) id, block mixing with one scalar per site pair
+      (rows summing to zero).  One cached eigendecomposition of the m x m
+      site matrix serves gap() and semigroup_apply at any block dim.
+    - factors=(A1, A2): A1 (x) id + id (x) A2 on the tensor-product algebra.
+      The action and the semigroup act factor by factor; the gap is the
+      smaller factor gap.
+    - neither: the depolarizer id - E of the given expectation E, with
+      semigroup E + e^{-t} (id - E) and gap 1.
+
+    The fixed-point expectation is the one given; a generator built without
+    one refuses .expectation.  Dense spectral data (plain_matrix, orth_matrix,
+    spectral) serves export and the search's gap directions only; it is
+    cached lazily behind a lock and refused above MAX_DENSE_COEFF_DIM
+    coefficients.
     """
 
-    def __init__(self, algebra, *, apply_fn=None, site_matrix=None, plain=None,
+    def __init__(self, algebra, *, site_matrix=None, factors=None,
                  expectation=None, moves=None, spec=None,
                  exact_gap=None, gap_tol=DEFAULT_GAP_TOL):
-        if apply_fn is None and site_matrix is None and plain is None:
-            raise ContractViolationError("a generator needs an action")
         if site_matrix is not None:
             site_matrix = np.asarray(site_matrix, dtype=float)
             m = algebra.n_sites
@@ -252,16 +233,24 @@ class GeneratorHandle:
                     1.0 + np.max(np.abs(site_matrix))):
                 raise ContractViolationError(
                     "site matrix rows must sum to zero (constants are fixed)")
+        elif factors is not None:
+            factors = tuple(factors)
+            if len(factors) != 2 or tensor_algebra(
+                    factors[0].algebra, factors[1].algebra) != algebra:
+                raise ContractViolationError(
+                    "factors must be two generators whose tensor algebra is this one")
+        elif expectation is None:
+            raise ContractViolationError("a generator needs an action")
         self.algebra = algebra
         self.site_matrix = site_matrix
-        self._apply_fn = apply_fn
-        self._plain = None if plain is None else np.asarray(plain)
+        self.factors = factors
         self._expectation = expectation
         self.moves = None if moves is None else tuple(moves)
         self.spec = spec
         self.exact_gap = exact_gap
         self.gap_tol = float(gap_tol)
         self._lock = threading.Lock()
+        self._plain = None
         self._orth = None
         self._eig = None
         self._site_eig = None
@@ -272,10 +261,11 @@ class GeneratorHandle:
         if self.site_matrix is not None:
             return AlgebraElement._of(
                 self.algebra, (site_apply(self.site_matrix, x.stacks[0]),))
-        if self._apply_fn is not None:
-            return self._apply_fn(x)
-        v = self.algebra.vec(x, orthonormal=False)
-        return self.algebra.unvec(self._plain @ v, orthonormal=False)
+        if self.factors is not None:
+            A1, A2 = self.factors
+            return (_on_factors(x, A1.algebra, A2.algebra, map1=A1.apply)
+                    + _on_factors(x, A1.algebra, A2.algebra, map2=A2.apply))
+        return x - self._expectation.apply(x)
 
     def plain_matrix(self):
         with self._lock:
@@ -285,7 +275,7 @@ class GeneratorHandle:
                     k2 = self.algebra.uniform_dim ** 2
                     self._plain = np.kron(self.site_matrix, np.eye(k2))
                 else:
-                    self._plain = _matrix_by_application(self.algebra, self._apply_fn)
+                    self._plain = _matrix_by_application(self.algebra, self.apply)
             return self._plain
 
     def orth_matrix(self):
@@ -303,7 +293,6 @@ class GeneratorHandle:
         S = self.orth_matrix()
         with self._lock:
             if self._eig is None:
-                _check_dense_budget(self.algebra)
                 self._eig = _checked_spectrum(S, self.spec)
             return self._eig
 
@@ -320,15 +309,12 @@ class GeneratorHandle:
                 self._site_eig = (lam, W, sigma)
             return self._site_eig
 
-    def spectrum(self):
-        """The eigendecomposition (lam, V) that gap() and semigroup_apply use:
-        the site matrix's (m x m) on a site-matrix generator, else spectral()."""
-        if self.site_matrix is not None:
-            return self._site_spectral()[:2]
-        return self.spectral()
-
     def gap(self):
-        lam, _ = self.spectrum()
+        if self.factors is not None:
+            return min(A.gap() for A in self.factors)
+        if self.site_matrix is None:
+            return 1.0
+        lam = self._site_spectral()[0]
         above = lam[lam > self.gap_tol]
         if above.size == 0:
             raise ContractViolationError("no spectrum above the kernel tolerance")
@@ -338,24 +324,18 @@ class GeneratorHandle:
     def expectation(self):
         """Projection onto the fixed-point subalgebra (kernel of the generator)."""
         if self._expectation is None:
-            lam, V = self.spectral()
-            V0 = V[:, lam <= self.gap_tol]
-            P = V0 @ V0.conj().T
-            s = self.algebra.scales
-            plain = (P * s[None, :]) / s[:, None]
-            with self._lock:
-                if self._expectation is None:
-                    self._expectation = ConditionalExpectation.from_matrix(
-                        self.algebra, plain)
+            raise ContractViolationError(
+                "this generator was built without its fixed-point expectation")
         return self._expectation
 
 
 def semigroup_apply(A, t, x):
-    """exp(-t A) x through the cached eigendecomposition A.spectrum(); t must
-    be >= 0.
+    """exp(-t A) x in the closed form of A's generator form; t must be >= 0.
 
     On a site-matrix generator it acts on the site index of the (m, k, k)
-    stack as sigma^-1 W exp(-t lam) W^T sigma.
+    stack as sigma^-1 W exp(-t lam) W^T sigma; on a depolarizer it is
+    E x + e^{-t} (x - E x); on a tensor it is the product of the two
+    commuting factor semigroups.
     """
     if t < 0:
         raise ContractViolationError("the semigroup runs forward in time")
@@ -369,9 +349,13 @@ def semigroup_apply(A, t, x):
         Y = W @ (np.exp(-float(t) * lam)[:, None] * (W.T @ Y))
         out = Y.view(complex) / sigma[:, None]
         return AlgebraElement._of(A.algebra, (out.reshape(X.shape),))
-    lam, V = A.spectral()
-    v = A.algebra.vec(x)
-    return A.algebra.unvec(V @ (np.exp(-float(t) * lam) * (V.conj().T @ v)))
+    if A.factors is not None:
+        A1, A2 = A.factors
+        return _on_factors(x, A1.algebra, A2.algebra,
+                           lambda y: semigroup_apply(A1, t, y),
+                           lambda y: semigroup_apply(A2, t, y))
+    ex = A.expectation.apply(x)
+    return ex + (x - ex) * math.exp(-float(t))
 
 
 # -- builders ------------------------------------------------------------------
@@ -446,24 +430,23 @@ def bernoulli_laplace(n, r, matrix_dim=1):
 
 
 def depolarizing(expectation):
-    """A = id - E for a conditional expectation E; spectrum {0, 1}."""
+    """A = id - E for a conditional expectation E other than the identity;
+    spectrum {0, 1}."""
     alg = expectation.algebra
-
-    def ap(x):
-        return x - expectation.apply(x)
-
+    cells = _as_cells(expectation)
+    if cells is not None and all(len(cell) == 1 for cell in cells):
+        raise ContractViolationError(
+            "E is the identity, so the depolarizer id - E is zero")
     moves = None
-    if all(d == 1 for d in alg.dims):
+    if cells is not None and all(d == 1 for d in alg.dims):
         mu = alg.weights
-        cells = _as_cells(expectation)
-        if cells is not None:
-            moves = []
-            for cell in cells:
-                wsum = sum(mu[s] for s in cell)
-                for x in cell:
-                    for y in cell:
-                        if y != x:
-                            moves.append((x, y, mu[y] / wsum))
+        moves = []
+        for cell in cells:
+            wsum = sum(mu[s] for s in cell)
+            for x in cell:
+                for y in cell:
+                    if y != x:
+                        moves.append((x, y, mu[y] / wsum))
     spec = None
     if expectation.kind == "full":
         params = {"sites": alg.n_sites}
@@ -473,7 +456,7 @@ def depolarizing(expectation):
         k = alg.uniform_dim
         if k is not None:
             spec = {"model": "depolarizing", "params": params, "matrix_dim": int(k)}
-    return GeneratorHandle(alg, apply_fn=ap, expectation=expectation,
+    return GeneratorHandle(alg, expectation=expectation,
                            moves=moves, spec=spec, exact_gap=1.0)
 
 
@@ -527,58 +510,56 @@ def graph_laplacian(adjacency, site_weights=None, matrix_dim=1):
 
 # -- combination ---------------------------------------------------------------
 
+def _ampliate_expectation(E, alg2, factor):
+    """E (x) id_{M_factor} on alg2, the ampliation of E's algebra."""
+    cells = _as_cells(E)
+    if cells is not None:
+        return ConditionalExpectation.from_partition(alg2, cells)
+    mk = WeightedAlgebra.full_matrix(factor, label=("amp", factor))
+    return ConditionalExpectation(
+        alg2, lambda x: _on_factors(x, E.algebra, mk, map1=E.apply))
+
+
 def ampliate_generator(A, factor):
-    """A (x) id on the algebra with every site tensored by a factor-dim identity."""
+    """A (x) id on the algebra with every site tensored by a factor-dim identity.
+
+    A site matrix keeps its site matrix, a depolarizer id - E becomes the
+    depolarizer of E (x) id, and a tensor of A1 and A2 becomes the tensor of
+    A1 and the ampliated A2 (the two algebras compare equal).
+    """
     factor = int(factor)
     if factor < 1:
         raise ContractViolationError("ampliation factor must be >= 1")
     if factor == 1:
         return A
-    a1 = A.algebra
-    alg2 = ampliate_algebra(a1, factor)
-    mk = WeightedAlgebra.full_matrix(factor, label=("amp", factor))
-
-    def lift(T):
-        """The map T (x) id for a plain-coefficient matrix T on a1."""
-        def ap(x):
-            C = factor_coeff_matrix(x, a1, mk)
-            return element_from_factor_coeffs(T @ C, a1, mk, alg2)
-        return ap
-
-    E1 = A.expectation
-    if E1.kind == "partition":
-        E2 = ConditionalExpectation.from_partition(alg2, E1.cells)
-    else:
-        E2 = ConditionalExpectation(alg2, lift(E1.matrix()), kind="lifted")
+    alg2 = ampliate_algebra(A.algebra, factor)
     spec = None
     if A.spec is not None:
         spec = {"model": "ampliation", "factor": factor, "base": A.spec}
-    if A.site_matrix is not None:
-        return GeneratorHandle(alg2, site_matrix=A.site_matrix, expectation=E2,
-                               moves=A.moves, spec=spec, exact_gap=A.exact_gap)
-    return GeneratorHandle(alg2, apply_fn=lift(A.plain_matrix()), expectation=E2,
-                           moves=A.moves, spec=spec, exact_gap=A.exact_gap)
+    kw = {"moves": A.moves, "spec": spec, "exact_gap": A.exact_gap}
+    if A.factors is not None:
+        A1, A2 = A.factors
+        T = tensor_generator(A1, ampliate_generator(A2, factor))
+        return GeneratorHandle(alg2, factors=T.factors,
+                               expectation=T.expectation, **kw)
+    E2 = _ampliate_expectation(A.expectation, alg2, factor)
+    return GeneratorHandle(alg2, site_matrix=A.site_matrix, expectation=E2, **kw)
 
 
 def tensor_generator(A1, A2):
     """A1 (x) id + id (x) A2 on the tensor-product algebra."""
     alg1, alg2 = A1.algebra, A2.algebra
+    E1, E2 = A1.expectation, A2.expectation
     alg = tensor_algebra(alg1, alg2)
-    T1 = A1.plain_matrix()
-    T2 = A2.plain_matrix()
-
-    def ap(x):
-        C = factor_coeff_matrix(x, alg1, alg2)
-        return element_from_factor_coeffs(T1 @ C + C @ T2.T, alg1, alg2, alg)
-
-    E = _lifted_expectation(A1.expectation, A2.expectation, alg1, alg2, alg)
+    E = ConditionalExpectation(
+        alg, lambda x: _on_factors(x, alg1, alg2, E1.apply, E2.apply))
     spec = None
     if A1.spec is not None and A2.spec is not None:
         spec = {"model": "tensor", "factors": [A1.spec, A2.spec]}
     exact_gap = None
     if A1.exact_gap is not None and A2.exact_gap is not None:
         exact_gap = min(A1.exact_gap, A2.exact_gap)
-    return GeneratorHandle(alg, apply_fn=ap, expectation=E,
+    return GeneratorHandle(alg, factors=(A1, A2), expectation=E,
                            spec=spec, exact_gap=exact_gap)
 
 

@@ -213,6 +213,8 @@ def check_gradient_identity(seed=0, instances=12, h=1e-4, t_grid=(0.0, 0.1, 1.0)
     """The entropy along the semigroup has derivative minus the Fisher
     information; verified by the Richardson extrapolation of the central
     differences at steps h and h/2, which cancels their O(h^2) error."""
+    if not h > 0:
+        raise ContractViolationError("the difference step h must be positive")
     models = _builtin_models()
     E_cache = {}
     records = []
@@ -373,6 +375,8 @@ def check_change_of_measure(seed=0, trials=30, ratio_caps=(2.0, 10.0)):
     sampled ratio under the first trace dominates (low/high) times the
     sampled infimum under the second.
     """
+    if not ratio_caps:
+        raise ContractViolationError("ratio_caps must name at least one cap")
     m = 4
     records = []
     ratio_pool = []

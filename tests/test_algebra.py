@@ -476,16 +476,30 @@ def test_fisher_derivation_on_mixed_dims():
     assert fisher_derivation(delta, power(1.5), rho) == pytest.approx(want, rel=1e-10)
 
 
-def linalg_eig_uses(node, func=None):
-    """(enclosing function, line) of each linalg.eigh / linalg.eigvalsh below node."""
+def uses(node, match, func=None):
+    """(enclosing function, line) of each node below node that match accepts."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from linalg_eig_uses(child, child.name)
+            yield from uses(child, match, child.name)
             continue
-        if (isinstance(child, ast.Attribute) and child.attr in ("eigh", "eigvalsh")
-                and isinstance(child.value, ast.Attribute) and child.value.attr == "linalg"):
+        if match(child):
             yield func, child.lineno
-        yield from linalg_eig_uses(child, func)
+        yield from uses(child, match, func)
+
+
+def linalg_eig_uses(node):
+    """(enclosing function, line) of each linalg.eigh / linalg.eigvalsh below node."""
+    return uses(node, lambda n: (
+        isinstance(n, ast.Attribute) and n.attr in ("eigh", "eigvalsh")
+        and isinstance(n.value, ast.Attribute) and n.value.attr == "linalg"))
+
+
+def dense_generator_calls(node):
+    """(enclosing function, line) of each .spectral() / .orth_matrix() /
+    .plain_matrix() call below node."""
+    return uses(node, lambda n: (
+        isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+        and n.func.attr in ("spectral", "orth_matrix", "plain_matrix")))
 
 
 def test_no_second_spectral_calculus():
@@ -501,4 +515,20 @@ def test_no_second_spectral_calculus():
             found += [f"{path.stem}.{func}: line {line}"
                       for func, line in linalg_eig_uses(ast.parse(path.read_text()))
                       if (path.stem, func) not in allowed]
+    assert found == []
+
+
+def test_dense_generator_data_stays_off_the_run_path():
+    """A generator's dense matrices are built for matrix export and the
+    search's gap directions only; every other quantity comes from the
+    generator's own form.  Inside models, orth_matrix and spectral build on
+    plain_matrix."""
+    import sobolev_lab
+    allowed = {("models", "orth_matrix"), ("models", "spectral"),
+               ("models", "export_matrix_csv"), ("certify", "_gap_directions")}
+    found = []
+    for path in sorted(Path(sobolev_lab.__file__).parent.glob("*.py")):
+        found += [f"{path.stem}.{func}: line {line}"
+                  for func, line in dense_generator_calls(ast.parse(path.read_text()))
+                  if (path.stem, func) not in allowed]
     assert found == []

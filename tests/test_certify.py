@@ -346,6 +346,16 @@ def test_report_verdict_follows_the_tolerance():
     assert rep.worst_slack == -0.5
 
 
+def test_nan_slack_fails_and_infinite_slack_passes():
+    nan = {"seed": 0, "slack": math.nan, "scale": 1.0}
+    rep = CheckReport.from_records("demo", [nan], 1.0, 1.0)
+    assert rep.verdict == "fail"
+    assert len(rep.violations) == 1
+    # cone_test reports an infinite margin when no trial ran
+    rep = CheckReport.from_records("demo", [dict(nan, slack=math.inf)], 0.0, 0.0)
+    assert rep.verdict == "pass"
+
+
 def test_report_cannot_claim_pass_with_violations():
     with pytest.raises(ContractViolationError):
         CheckReport(check_id="demo", trials=1, tolerance=(0.0, 0.0),

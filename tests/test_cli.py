@@ -285,15 +285,60 @@ def test_rt5_k6_runs_past_the_dense_budget(tmp_path, config):
                quiet=True) == 0
 
 
-def test_over_budget_model_refused_before_states_are_drawn(tmp_path,
-                                                           monkeypatch):
-    def no_states(*args):
-        raise AssertionError("states drawn for a model over the dense budget")
-
-    monkeypatch.setattr("sobolev_lab.cli._states", no_states)
-    # a callable generator needs dense spectra: 2 * 50^2 = 5000 coefficients
+def test_depolarizer_past_the_dense_budget_decays_but_is_not_searched(tmp_path):
+    # 2 * 50^2 = 5000 coefficients: id - E decays in closed form, while the
+    # search's gap directions need the dense spectrum, which is refused
     model = {"model": "depolarizing", "params": {"sites": 2}, "matrix_dim": 50}
-    config = {"command": "decay", "model": model,
-              "f": {"tag": "xlogx"}, "lambda": 1.0}
-    assert run(config, out_dir=str(tmp_path / "art"), quiet=True) == 2
-    assert not (tmp_path / "art").exists()
+    decay = {"command": "decay", "model": model, "f": {"tag": "xlogx"},
+             "lambda": 1.0, "n_states": 2}
+    assert run(decay, out_dir=str(tmp_path / "decay"), quiet=True) == 0
+    estimate = {"command": "estimate", "model": model, "f": {"tag": "xlogx"},
+                "budget": TINY_BUDGET}
+    assert run(estimate, out_dir=str(tmp_path / "estimate"), quiet=True) == 2
+    assert not (tmp_path / "estimate").exists()
+
+
+DEP1 = {"model": "depolarizing", "params": {"sites": 1}, "matrix_dim": 1}
+
+
+@pytest.mark.parametrize("model", [
+    DEP1,
+    {"model": "tensor", "factors": [
+        {"model": "random_transposition", "params": {"n": 2}}, DEP1]},
+], ids=["alone", "tensor_with_rt2"])
+def test_identity_depolarizer_exits_two(tmp_path, capsys, model):
+    out = tmp_path / "art"
+    assert run({"command": "gap", "model": model}, out_dir=str(out),
+               quiet=True) == 2
+    assert "identity" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    '{"command": "decay", "model": %s, "f": {"tag": "xlogx"}, '
+    '"lambda": 1.0, "t_grid": [NaN]}',
+    '{"command": "decay", "model": %s, "f": {"tag": "xlogx"}, '
+    '"lambda": NaN}',
+    '{"command": "pnorm", "model": %s, "p": 1.5, "lambda": 0.75, '
+    '"t_grid": [NaN]}',
+], ids=["decay_t_grid", "decay_lambda", "pnorm_t_grid"])
+def test_non_finite_literal_exits_two(tmp_path, capsys, text):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text % json.dumps(RT3))
+    out = tmp_path / "art"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [
+    {"command": "cone-test", "kernel": {"tag": "log"}, "dims": []},
+    {"command": "cone-test", "kernel": {"tag": "log"}, "env_dims": []},
+    {"command": "suite", "checks": [{"id": "change_of_measure",
+                                     "ratio_caps": []}]},
+    {"command": "suite", "checks": [{"id": "gradient_identity", "h": 0}]},
+], ids=["cone_dims", "cone_env_dims", "ratio_caps", "gradient_h"])
+def test_empty_or_zero_parameters_exit_two(tmp_path, config):
+    out = tmp_path / "art"
+    assert run(config, out_dir=str(out), quiet=True) == 2
+    assert not out.exists()

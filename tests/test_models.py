@@ -312,9 +312,91 @@ def test_site_spectrum_refusals(site_matrix, message, k):
         A.spectral()
 
 
+def _dep(alg):
+    return depolarizing(ConditionalExpectation.full_average(alg))
+
+
+def _rt3_x_dep2():
+    return tensor_generator(random_transposition(3),
+                            _dep(WeightedAlgebra.full_matrix(2)))
+
+
+# the depolarizer and tensor forms, and the ampliations that map them to
+# themselves: ampliate(dep) is a depolarizer, ampliate(tensor) a tensor
+STRUCTURED_MODELS = {
+    "dep_m3": lambda: _dep(WeightedAlgebra.full_matrix(3)),
+    "dep_blocks42": lambda: _dep(WeightedAlgebra.block_sites(4, 2)),
+    "dep2_amp3": lambda: ampliate_generator(_dep(WeightedAlgebra.full_matrix(2)), 3),
+    "rt3_x_dep2": _rt3_x_dep2,
+    "rt2_x_bl31": lambda: tensor_generator(random_transposition(2),
+                                           bernoulli_laplace(3, 1)),
+    "rt3_x_dep2_amp2": lambda: ampliate_generator(_rt3_x_dep2(), 2),
+}
+
+
+@pytest.mark.parametrize("tag", list(STRUCTURED_MODELS))
+def test_structured_semigroup_matches_dense_expm(tag):
+    from scipy.linalg import expm
+    A = STRUCTURED_MODELS[tag]()
+    x = random_element(A.algebra, seed=21)
+    v = A.algebra.vec(x, orthonormal=False)
+    for t in (0.3, 2.0):
+        expected = expm(-t * A.plain_matrix()) @ v
+        got = A.algebra.vec(semigroup_apply(A, t, x), orthonormal=False)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("tag", list(STRUCTURED_MODELS))
+def test_structured_gap_matches_dense_spectrum(tag):
+    A = STRUCTURED_MODELS[tag]()
+    lam = np.linalg.eigvalsh(A.orth_matrix())
+    assert A.gap() == pytest.approx(float(lam[lam > A.gap_tol][0]), abs=1e-10)
+    assert A.gap() == pytest.approx(A.exact_gap, abs=1e-10)
+
+
+@pytest.mark.parametrize("tag", list(STRUCTURED_MODELS))
+def test_structured_expectation_is_a_conditional_expectation(tag):
+    A = STRUCTURED_MODELS[tag]()
+    E = A.expectation
+    alg = A.algebra
+    rng = make_rng(22, 0)
+    x, y, u, w = (random_element(alg, rng) for _ in range(4))
+    ex = E.apply(x)
+    scale = 1.0 + x.norm() + y.norm()
+    assert (E.apply(ex) - ex).norm() <= 1e-12 * scale
+    assert abs(trace(ex) - trace(x)) <= 1e-12 * scale
+    assert E.apply(alg.identity()).allclose(alg.identity(), atol=1e-12)
+    assert abs(inner(ex, y) - inner(x, E.apply(y))) <= 1e-12 * scale ** 2
+    assert A.apply(ex).norm() <= 1e-12 * scale
+    # a bimodule map over its range: E(a x b) = a E(x) b for a, b = E(.)
+    a, b = E.apply(u), E.apply(w)
+    lhs = E.apply(a @ x @ b)
+    rhs = a @ ex @ b
+    assert (lhs - rhs).norm() <= 1e-11 * (1.0 + rhs.norm())
+
+
+def test_expectation_refused_when_none_was_given():
+    from sobolev_lab import GeneratorHandle
+    A = GeneratorHandle(WeightedAlgebra.commutative(2),
+                        site_matrix=[[1.0, -1.0], [-1.0, 1.0]])
+    with pytest.raises(ContractViolationError, match="fixed-point expectation"):
+        A.expectation
+
+
+@pytest.mark.parametrize("E", [
+    ConditionalExpectation.from_partition(WeightedAlgebra.commutative(3),
+                                          [[0], [1], [2]]),
+    ConditionalExpectation.full_average(WeightedAlgebra.commutative(1)),
+], ids=["singleton_cells", "one_scalar_site"])
+def test_identity_expectation_has_no_depolarizer(E):
+    with pytest.raises(ContractViolationError, match="identity"):
+        depolarizing(E)
+
+
 @pytest.mark.parametrize("build", [lambda: random_transposition(4, matrix_dim=4),
-                                   lambda: bernoulli_laplace(4, 2, matrix_dim=2)],
-                         ids=["rt4_k4", "bl42_k2"])
+                                   lambda: bernoulli_laplace(4, 2, matrix_dim=2),
+                                   *STRUCTURED_MODELS.values()],
+                         ids=["rt4_k4", "bl42_k2", *STRUCTURED_MODELS])
 def test_decay_path_builds_no_dense_data(build, monkeypatch):
     from sobolev_lab import GeneratorHandle, decay_check, fisher_decay_check
     from sobolev_lab.functions import xlogx
