@@ -517,20 +517,40 @@ def _is_number(v):
             or isinstance(v, float) and math.isfinite(v))
 
 
+def _is_integer(v, low=-math.inf):
+    return _is_number(v) and v == int(v) and v >= low
+
+
 def _is_numbers(v):
     return isinstance(v, list) and all(_is_number(x) for x in v)
 
 
-# JSON value types that declarative specs (models, functions) name
+def _nonempty_list_of(is_item):
+    return lambda v: isinstance(v, list) and len(v) > 0 and all(map(is_item, v))
+
+
+def _is_check_entry(v):
+    return isinstance(v, str) or isinstance(v, dict) and isinstance(v.get("id"), str)
+
+
+# JSON value types that declarative specs (models, functions, configs) name
 _JSON_TYPES = {
     "string": lambda v: isinstance(v, str),
-    "integer": lambda v: _is_number(v) and v == int(v),
+    "integer": _is_integer,
+    "integer >= 0": lambda v: _is_integer(v, 0),
+    "integer >= 1": lambda v: _is_integer(v, 1),
     "number": _is_number,
+    "number > 0": lambda v: _is_number(v) and v > 0,
+    "number in (1, 2)": lambda v: _is_number(v) and 1 < v < 2,
     "numbers": _is_numbers,
+    "nonempty numbers": _nonempty_list_of(_is_number),
+    "nonempty integers >= 1": _nonempty_list_of(lambda x: _is_integer(x, 1)),
+    "nonempty integers >= 2": _nonempty_list_of(lambda x: _is_integer(x, 2)),
     "square matrix": lambda v: isinstance(v, list) and all(
         _is_numbers(row) and len(row) == len(v) for row in v),
     "object": lambda v: isinstance(v, dict),
     "array of two": lambda v: isinstance(v, list) and len(v) == 2,
+    "check ids": lambda v: isinstance(v, list) and all(_is_check_entry(x) for x in v),
 }
 
 
@@ -538,9 +558,10 @@ def check_spec(spec, fields, whole=None):
     """Raise ContractViolationError unless spec is an object holding exactly
     the keys of fields, each value of its JSON type.
 
-    fields maps a key to a type name of _JSON_TYPES, or to the fields of a
-    nested object; a key ending in "?" may be left out.  Messages quote
-    whole, the outermost spec (spec itself by default).
+    fields maps a key to a type name of _JSON_TYPES, to a tuple of the
+    values it may take, or to the fields of a nested object; a key ending
+    in "?" may be left out.  Messages quote whole, the outermost spec (spec
+    itself by default).
     """
     whole = spec if whole is None else whole
     if not isinstance(spec, dict):
@@ -556,6 +577,10 @@ def check_spec(spec, fields, whole=None):
                 raise ContractViolationError(f"malformed spec {whole!r}: missing {name!r}")
         elif isinstance(kind, dict):
             check_spec(spec[name], kind, whole)
+        elif isinstance(kind, tuple):
+            if spec[name] not in kind:
+                raise ContractViolationError(
+                    f"malformed spec {whole!r}: {name!r} must be one of {kind!r}")
         elif not _JSON_TYPES[kind](spec[name]):
             raise ContractViolationError(
                 f"malformed spec {whole!r}: {name!r} must be {kind}")

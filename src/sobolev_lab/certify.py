@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .algebra import (AlgebraElement, WeightedAlgebra, _positive_eigh,
                       element_to_json, make_rng, matrix_function, p_norm,
@@ -42,6 +41,15 @@ STATE_FLOOR = 1e-8
 # gap eigen-directions it follows
 CURVE_EPS = tuple(np.logspace(-4.7, -1.0, 12))
 MAX_DIRECTIONS = 8
+
+
+def minimize(fun, x0, **options):
+    """scipy.optimize.minimize(fun, x0, **options), imported at the first
+    call: only the constant search needs scipy, and its import is most of
+    the start-up time of every other command."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(fun, x0, **options)
+
 
 def worker_count():
     env = os.environ.get("SOBOLEV_LAB_THREADS")

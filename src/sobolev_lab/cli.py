@@ -19,9 +19,7 @@ import os
 import sys
 import tempfile
 
-import jsonschema
-
-from .algebra import make_rng, random_positive
+from .algebra import check_spec, make_rng, random_positive
 from .certify import (DEFAULT_T_GRID, OptimizerBudget, decay_check,
                       estimate_constant, pnorm_decay_check)
 from .doi import cone_test, log_difference, power_difference
@@ -33,79 +31,26 @@ from .models import ampliate_generator, model_from_spec, semigroup_apply
 from .suite import (CHECKS, _model_label, check_dpi, csv_text,
                     reports_to_csv, suite_run, suite_verdict)
 
-# model_from_spec and function_from_spec check the fields of these specs
-_SPEC = {"type": "object"}
-_BUDGET = {"type": "object", "additionalProperties": False,
-           "properties": {"restarts": {"type": "integer", "minimum": 1},
-                          "iterations": {"type": "integer", "minimum": 1}}}
-_T_GRID = {"type": "array", "minItems": 1, "items": {"type": "number"}}
-_COMMON = {"command": {"type": "string"}, "seed": {"type": "integer"},
-           "out": {"type": "string"}}
-
-SCHEMAS = {
-    "gap": {
-        "type": "object", "additionalProperties": False,
-        "required": ["command", "model"],
-        "properties": dict(_COMMON, model=_SPEC),
-    },
-    "estimate": {
-        "type": "object", "additionalProperties": False,
-        "required": ["command", "model", "f"],
-        "properties": dict(_COMMON, model=_SPEC, f=_SPEC, budget=_BUDGET,
-                           ampliation={"type": "integer", "minimum": 1}),
-    },
-    "decay": {
-        "type": "object", "additionalProperties": False,
-        "required": ["command", "model", "f", "lambda"],
-        "properties": dict(
-            _COMMON, model=_SPEC, f=_SPEC,
-            ampliation={"type": "integer", "minimum": 1},
-            n_states={"type": "integer", "minimum": 1},
-            t_grid=_T_GRID,
-            **{"lambda": {"type": "number", "exclusiveMinimum": 0}}),
-    },
-    "pnorm": {
-        "type": "object", "additionalProperties": False,
-        "required": ["command", "model", "p", "lambda"],
-        "properties": dict(
-            _COMMON, model=_SPEC,
-            p={"type": "number", "exclusiveMinimum": 1, "exclusiveMaximum": 2},
-            n_states={"type": "integer", "minimum": 1},
-            t_grid=_T_GRID,
-            **{"lambda": {"type": "number", "exclusiveMinimum": 0}}),
-    },
-    "cone-test": {
-        "type": "object", "additionalProperties": False,
-        "required": ["command", "kernel"],
-        "properties": dict(
-            _COMMON,
-            kernel={"type": "object", "required": ["tag"],
-                    "additionalProperties": False,
-                    "properties": {"tag": {"enum": ["log", "power"]},
-                                   "p": {"type": "number"}}},
-            side={"enum": ["plus", "minus"]},
-            trials={"type": "integer", "minimum": 1},
-            dims={"type": "array", "minItems": 1,
-                  "items": {"type": "integer", "minimum": 2}},
-            env_dims={"type": "array", "minItems": 1,
-                      "items": {"type": "integer", "minimum": 1}}),
-    },
-    "dpi-test": {
-        "type": "object", "additionalProperties": False,
-        "required": ["command"],
-        "properties": dict(_COMMON, trials={"type": "integer", "minimum": 1}),
-    },
-    "suite": {
-        "type": "object", "additionalProperties": False,
-        "required": ["command"],
-        "properties": dict(
-            _COMMON,
-            checks={"type": "array",
-                    "items": {"anyOf": [
-                        {"type": "string"},
-                        {"type": "object", "required": ["id"],
-                         "properties": {"id": {"type": "string"}}}]}}),
-    },
+# the fields of each command's config (see algebra.check_spec); the model
+# and f objects are checked by model_from_spec and function_from_spec
+_COMMON = {"command": "string", "seed?": "integer >= 0", "out?": "string"}
+_BUDGET = {"restarts?": "integer >= 1", "iterations?": "integer >= 1"}
+_CONFIG_SPECS = {
+    "gap": {**_COMMON, "model": "object"},
+    "estimate": {**_COMMON, "model": "object", "f": "object",
+                 "budget?": _BUDGET, "ampliation?": "integer >= 1"},
+    "decay": {**_COMMON, "model": "object", "f": "object",
+              "lambda": "number > 0", "ampliation?": "integer >= 1",
+              "n_states?": "integer >= 1", "t_grid?": "nonempty numbers"},
+    "pnorm": {**_COMMON, "model": "object", "p": "number in (1, 2)",
+              "lambda": "number > 0", "n_states?": "integer >= 1",
+              "t_grid?": "nonempty numbers"},
+    "cone-test": {**_COMMON, "kernel": {"tag": ("log", "power"), "p?": "number"},
+                  "side?": ("plus", "minus"), "trials?": "integer >= 1",
+                  "dims?": "nonempty integers >= 2",
+                  "env_dims?": "nonempty integers >= 1"},
+    "dpi-test": {**_COMMON, "trials?": "integer >= 1"},
+    "suite": {**_COMMON, "checks?": "check ids"},
 }
 
 
@@ -327,24 +272,29 @@ _RUNNERS = {
 }
 
 
-def validate_config(config):
-    """Schema-check a config dict and return its command name."""
+def validate_config(config, seed=None, check_filter=None):
+    """Check a config, with its --seed and --check overrides, against the
+    fields of its command; return the command name."""
     if not isinstance(config, dict):
-        raise jsonschema.ValidationError("config must be a JSON object")
+        raise ContractViolationError("config must be a JSON object")
     command = config.get("command")
-    if command not in SCHEMAS:
-        raise jsonschema.ValidationError(
-            f"unknown command {command!r}; expected one of {sorted(SCHEMAS)}")
-    jsonschema.validate(config, SCHEMAS[command])
+    if not isinstance(command, str) or command not in _CONFIG_SPECS:
+        raise ContractViolationError(
+            f"unknown command {command!r}; expected one of {sorted(_CONFIG_SPECS)}")
+    check_spec(config if seed is None else dict(config, seed=seed),
+               _CONFIG_SPECS[command])
+    if check_filter is not None and command != "suite":
+        raise ContractViolationError(
+            f"--check selects suite checks; a {command!r} config has none")
     return command
 
 
 def run(config, out_dir=None, seed=None, check_filter=None, quiet=False):
     """Execute one validated config; returns the process exit code."""
     try:
-        command = validate_config(config)
-    except jsonschema.ValidationError as exc:
-        print(f"invalid config: {exc.message}", file=sys.stderr)
+        command = validate_config(config, seed, check_filter)
+    except ContractViolationError as exc:
+        print(f"invalid config: {exc}", file=sys.stderr)
         return 2
     out = out_dir or config.get("out") or "."
     run_seed = int(seed if seed is not None else config.get("seed", 0))

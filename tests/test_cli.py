@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +52,13 @@ def test_unknown_command_exits_two(tmp_path, capsys):
     assert main(["--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "solve" in err
+
+
+def test_command_that_is_not_a_string_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"command": ["gap"], "model": RT3})
+    assert main(["--config", cfg, "--out", str(tmp_path / "art")]) == 2
+    assert "unknown command ['gap']" in capsys.readouterr().err
+    assert not (tmp_path / "art").exists()
 
 
 def test_missing_config_file_exits_two(tmp_path, capsys):
@@ -341,4 +349,71 @@ def test_non_finite_literal_exits_two(tmp_path, capsys, text):
 def test_empty_or_zero_parameters_exit_two(tmp_path, config):
     out = tmp_path / "art"
     assert run(config, out_dir=str(out), quiet=True) == 2
+    assert not out.exists()
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+DECAY = {"command": "decay", "model": RT3, "f": {"tag": "xlogx"},
+         "lambda": 1.0, "n_states": 2}
+PNORM = {"command": "pnorm", "model": RT3, "p": 1.5, "lambda": 0.75,
+         "n_states": 2}
+ESTIMATE = {"command": "estimate", "model": RT3, "f": {"tag": "xlogx"},
+            "budget": TINY_BUDGET}
+CONE = {"command": "cone-test", "kernel": {"tag": "log"}, "trials": 2}
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_shipped_configs_are_accepted(path):
+    config = json.loads(path.read_text())
+    assert validate_config(config) == config["command"]
+
+
+@pytest.mark.parametrize("config", [
+    dict(CONE, trials=0), dict(DECAY, n_states=0),
+    dict(ESTIMATE, ampliation=0),
+    dict(DECAY, **{"lambda": 0}), dict(PNORM, p=1), dict(PNORM, p=2),
+    dict(CONE, side="x"),
+    dict(CONE, dims=[]), dict(CONE, dims=[1]), dict(CONE, env_dims=[0]),
+    dict(ESTIMATE, budget={"restarts": 0}), dict(ESTIMATE, budget={"foo": 1}),
+    dict(DECAY, t_grid=[]), dict(DECAY, t_grid=["a"]),
+    dict(CONE, kernel={"tag": "exp"}), dict(CONE, kernel={"p": 0.5}),
+    dict(DECAY, mode="x"),
+    dict(DECAY, seed=1.5), dict(DECAY, seed=True),
+    {"command": "suite", "checks": [3]},
+    [DECAY],
+], ids=["trials_0", "n_states_0", "ampliation_0", "lambda_0", "p_1", "p_2",
+        "side_x", "dims_empty", "dims_1", "env_dims_0", "restarts_0",
+        "budget_unknown_key", "t_grid_empty", "t_grid_string", "kernel_exp",
+        "kernel_without_tag", "unknown_key", "seed_fractional", "seed_bool",
+        "check_not_id", "config_list"])
+def test_invalid_config_exits_two_without_artifacts(tmp_path, capsys, config):
+    out = tmp_path / "art"
+    cfg = write_config(tmp_path, config)
+    assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert "invalid config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [DECAY, ESTIMATE], ids=["decay", "estimate"])
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_negative_seed_exits_two_without_artifacts(tmp_path, capsys, config,
+                                                    where):
+    out = tmp_path / "art"
+    if where == "config":
+        argv = ["--config", write_config(tmp_path, dict(config, seed=-1))]
+    else:
+        argv = ["--config", write_config(tmp_path, config), "--seed", "-1"]
+    assert main(argv + ["--out", str(out), "--quiet"]) == 2
+    assert "invalid config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [{"command": "gap", "model": RT3}, DECAY],
+                         ids=["gap", "decay"])
+def test_check_filter_outside_suite_exits_two(tmp_path, capsys, config):
+    out = tmp_path / "art"
+    cfg = write_config(tmp_path, config)
+    assert main(["--config", cfg, "--out", str(out), "--check", "nosuch",
+                 "--quiet"]) == 2
+    assert "--check" in capsys.readouterr().err
     assert not out.exists()
