@@ -19,7 +19,7 @@ import numpy as np
 from .algebra import (AlgebraElement, WeightedAlgebra, _positive_eigh,
                       element_to_json, make_rng, matrix_function, p_norm,
                       random_positive, stack_adjoint, stack_function)
-from .entropy import (_fisher_at_shift, _subalgebra_entropy, bregman,
+from .entropy import (_fisher_form, _subalgebra_entropy, bregman,
                       entropy_vs_subalgebra, fisher_generator)
 from .errors import (ContractViolationError, DegenerateStateError, DomainError,
                      NumericalContractError)
@@ -189,21 +189,21 @@ class OptimizerBudget:
 # -- the ratio -----------------------------------------------------------------
 
 def _ratio_terms(A, f, rho):
-    """(R, D, eigenpairs of rho, eigenpairs of E rho, A(rho), f'(rho)) at rho.
+    """(R, D, eigenpairs of rho, eigenpairs of E rho, a, f'(rho)) at rho.
 
     R = I/D with D = entropy_vs_subalgebra(f, rho, A.expectation) and
     I = fisher_generator(A, f, rho), both from one eigendecomposition of rho;
-    the eigenpairs come grouped as algebra.eigh gives them and f'(rho)
-    as one stack per dim group.
+    a = (id - E)(A rho) is A(rho) as the Fisher form uses it.  The
+    eigenpairs come grouped as algebra.eigh gives them and f'(rho) as one
+    stack per dim group.
     """
     groups = _positive_eigh(rho)
     den, e_groups = _subalgebra_entropy(f, rho, groups, A.expectation)
     if not den > DENOMINATOR_FLOOR:
         raise DegenerateStateError(
             f"entropy denominator {den:.3e} is below {DENOMINATOR_FLOOR:.0e}")
-    a_rho = A.apply(rho)
-    num, fps = _fisher_at_shift(a_rho, groups, f, 0.0)
-    return num / den, den, groups, e_groups, a_rho, fps
+    num, a, fps = _fisher_form(A, f, rho, groups)
+    return num / den, den, groups, e_groups, a, fps
 
 
 def sobolev_ratio(A, f, rho):
@@ -233,18 +233,19 @@ def _ratio_and_gradient(A, f, x):
     """sobolev_ratio at the search state of x, and its gradient in x.
 
     With the eigenpairs (lam, U) of rho and (mu, V) of E rho that the ratio
-    was computed from: grad I = A(f'(rho)) + U (f'^[1] o U* A(rho) U) U*
-    (Daleckii-Krein), grad D = f'(rho) - f'(E rho), M = (grad I - R grad D)/D,
-    and the gradient in (Re G, Im G) is 2 (w_s/k) (M_h G)_s with M_h the
-    hermitian part of M.  Uniform block dims only.
+    was computed from, and a = A(rho) as _ratio_terms returns it:
+    grad I = A(f'(rho)) + U (f'^[1] o U* a U) U* (Daleckii-Krein),
+    grad D = f'(rho) - f'(E rho), M = (grad I - R grad D)/D, and the
+    gradient in (Re G, Im G) is 2 (w_s/k) (M_h G)_s with M_h the hermitian
+    part of M.  Uniform block dims only.
     """
     alg = A.algebra
     G, rho = _search_state(alg, x)
-    R, den, [(_, lam, U)], [(_, mu, V)], a_rho, [fp] = _ratio_terms(A, f, rho)
+    R, den, [(_, lam, U)], [(_, mu, V)], a, [fp] = _ratio_terms(A, f, rho)
     Uh = stack_adjoint(U)
     dk = divided_diff_grid(f, 2, lam, lam)
     a_fp = A.apply(AlgebraElement._of(alg, (fp,))).stacks[0]
-    grad_i = a_fp + U @ (dk * (Uh @ a_rho.stacks[0] @ U)) @ Uh
+    grad_i = a_fp + U @ (dk * (Uh @ a.stacks[0] @ U)) @ Uh
     grad_d = fp - stack_function(V, f.eval_order(mu, 1))
     M = (grad_i - R * grad_d) / den
     wk = np.asarray(alg.weights, dtype=float) / alg.uniform_dim

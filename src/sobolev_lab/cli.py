@@ -13,6 +13,7 @@ printed with 12 significant digits and files are written atomically.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -20,14 +21,13 @@ import sys
 import tempfile
 
 from .algebra import check_spec, make_rng, random_positive
-from .certify import (DEFAULT_T_GRID, OptimizerBudget, decay_check,
-                      estimate_constant, pnorm_decay_check)
+from .certify import (OptimizerBudget, decay_check, estimate_constant,
+                      pnorm_decay_check)
 from .doi import cone_test, log_difference, power_difference
-from .entropy import entropy_vs_subalgebra
 from .errors import (ContractViolationError, DegenerateStateError, DomainError,
                      NumericalContractError)
 from .functions import function_from_spec
-from .models import ampliate_generator, model_from_spec, semigroup_apply
+from .models import MAX_DENSE_COEFF_DIM, ampliate_generator, model_from_spec
 from .suite import (CHECKS, _model_label, check_dpi, csv_text,
                     reports_to_csv, suite_run, suite_verdict)
 
@@ -52,6 +52,19 @@ _CONFIG_SPECS = {
     "dpi-test": {**_COMMON, "trials?": "integer >= 1"},
     "suite": {**_COMMON, "checks?": "check ids"},
 }
+# the kind of a suite check parameter, by the type of its default
+_KIND_OF_DEFAULT = {int: "integer >= 1", float: "number",
+                    tuple: "nonempty numbers", str: "string"}
+
+
+def _check_entry_fields(check_id):
+    """check_spec fields of a suite entry {"id": check_id, params...}, from
+    the defaults in the check's signature."""
+    fields = {"id": "string"}
+    for param in inspect.signature(CHECKS[check_id]).parameters.values():
+        fields[param.name + "?"] = ("integer >= 0" if param.name == "seed"
+                                    else _KIND_OF_DEFAULT[type(param.default)])
+    return fields
 
 
 def _round12(obj):
@@ -81,22 +94,6 @@ def _atomic_write(path, text):
 def _write_json(path, payload):
     _atomic_write(path, json.dumps(_round12(payload), indent=2,
                                    sort_keys=True) + "\n")
-
-
-def emit_decay_curve(A, f, rho, t_grid, path, lam):
-    """CSV (t, entropy, bound_e_minus_lambda_t): entropy along the semigroup
-    against the exponential bound started from the t=0 value."""
-    E = A.expectation
-    d0 = entropy_vs_subalgebra(f, rho, E).value
-    rows = []
-    for t in t_grid:
-        t = float(t)
-        sigma = semigroup_apply(A, t, rho).hermitian_part()
-        d_t = entropy_vs_subalgebra(f, sigma, E).value
-        rows.append([t, d_t, d0 * math.exp(-lam * t)])
-    _atomic_write(path, csv_text(
-        rows, header=("t", "entropy", "bound_e_minus_lambda_t")))
-    return path
 
 
 def _build_model(config):
@@ -174,8 +171,11 @@ def _run_decay(config, out, seed, quiet):
     report = decay_check(A, f, lam, states, t_grid=t_grid)
     _report_artifacts(out, "decay", report,
                       {"command": "decay", "model": A.spec, "seed": seed})
-    emit_decay_curve(A, f, states[0], t_grid or DEFAULT_T_GRID,
-                     os.path.join(out, "decay_curve.csv"), lam)
+    # the entropy of the first state along the semigroup against its bound
+    curve = [[r["t"], r["value"], r["bound"]] for r in report.records
+             if r["seed"] == 0]
+    _atomic_write(os.path.join(out, "decay_curve.csv"), csv_text(
+        curve, header=("t", "entropy", "bound_e_minus_lambda_t")))
     if not quiet:
         print(f"decay verdict {report.verdict}")
     return 0 if report.verdict == "pass" else 3
@@ -283,6 +283,17 @@ def validate_config(config, seed=None, check_filter=None):
             f"unknown command {command!r}; expected one of {sorted(_CONFIG_SPECS)}")
     check_spec(config if seed is None else dict(config, seed=seed),
                _CONFIG_SPECS[command])
+    if command == "suite":
+        # unknown ids are left to suite_run, which also refuses them before
+        # any check runs
+        for entry in config.get("checks", ()):
+            if isinstance(entry, dict) and entry["id"] in CHECKS:
+                check_spec(entry, _check_entry_fields(entry["id"]))
+    if command == "cone-test":
+        # cone_test builds d^2 x d^2 superoperators: the dense budget applies
+        if max(config.get("dims", ()), default=0) ** 2 > MAX_DENSE_COEFF_DIM:
+            raise ContractViolationError(
+                f"cone-test dims must satisfy d^2 <= {MAX_DENSE_COEFF_DIM}")
     if check_filter is not None and command != "suite":
         raise ContractViolationError(
             f"--check selects suite checks; a {command!r} config has none")

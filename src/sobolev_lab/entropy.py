@@ -23,14 +23,10 @@ from .functions import bregman_gap, divided_diff_grid
 
 @dataclass(frozen=True)
 class EntropyValue:
-    """Scalar entropy with the epsilon-floor it was computed at."""
+    """Scalar entropy with the label of its function."""
 
     value: float
-    epsilon: float
     f: str
-
-    def to_json(self):
-        return {"value": float(self.value), "epsilon": float(self.epsilon), "f": self.f}
 
 
 def block_bregman(f, lam, U, mu, V, kernel_rule=False):
@@ -54,30 +50,27 @@ def block_bregman(f, lam, U, mu, V, kernel_rule=False):
     return np.sum(overlap * gaps, axis=(-2, -1))
 
 
-def _bregman_sum(f, algebra, rho_groups, sigma_groups, shift=0.0, kernel_rule=False):
-    """tau(f(rho) - f(s) - f'(s)(rho - s)) for s = sigma + shift*1 from the
-    grouped eigenpairs of rho and sigma."""
+def _bregman_sum(f, algebra, rho_groups, sigma_groups, kernel_rule=False):
+    """tau(f(rho) - f(sigma) - f'(sigma)(rho - sigma)) from the grouped
+    eigenpairs of rho and sigma."""
     weights = np.asarray(algebra.weights, dtype=float)
     total = 0.0
     for (idx, lam, U), (_, mu, V) in zip(rho_groups, sigma_groups):
-        per_block = block_bregman(f, lam, U, mu + shift, V, kernel_rule)
+        per_block = block_bregman(f, lam, U, mu, V, kernel_rule)
         total += float(weights[idx] @ per_block) / U.shape[-1]
     return total
 
 
-def bregman(f, rho, sigma, epsilon=0.0):
-    """d^f(rho || sigma + eps*1) = tau(f(rho) - f(sig_eps) - (rho - sig_eps) f'(sig_eps)).
+def bregman(f, rho, sigma):
+    """d^f(rho || sigma) = tau(f(rho) - f(sigma) - (rho - sigma) f'(sigma)).
 
-    With eps = 0 the second argument must be nonsingular wherever f' blows up,
-    otherwise a DomainError propagates from the scalar catalog.
+    sigma must be nonsingular wherever f' blows up at 0, otherwise a
+    DomainError propagates from the scalar catalog.
     """
     if rho.algebra != sigma.algebra:
         raise AlgebraMismatchError("bregman arguments live on different algebras")
-    if epsilon < 0.0:
-        raise ContractViolationError("epsilon must be nonnegative")
-    value = _bregman_sum(f, rho.algebra, _positive_eigh(rho), _positive_eigh(sigma),
-                         shift=epsilon)
-    return EntropyValue(value, float(epsilon), f.label)
+    value = _bregman_sum(f, rho.algebra, _positive_eigh(rho), _positive_eigh(sigma))
+    return EntropyValue(value, f.label)
 
 
 def entropy_vs_subalgebra(f, rho, expectation):
@@ -90,7 +83,7 @@ def entropy_vs_subalgebra(f, rho, expectation):
     are refused.
     """
     value, _ = _subalgebra_entropy(f, rho, _positive_eigh(rho), expectation)
-    return EntropyValue(value, 0.0, f.label)
+    return EntropyValue(value, f.label)
 
 
 def _subalgebra_entropy(f, rho, rho_groups, expectation):
@@ -101,36 +94,29 @@ def _subalgebra_entropy(f, rho, rho_groups, expectation):
             e_groups)
 
 
-def _fisher_at_shift(a_rho, rho_groups, f, shift):
-    """tau(A(rho) f'(rho + shift*1)) from A(rho) and the grouped eigenpairs
-    of rho, with the stacks of f'(rho + shift*1) per dim group."""
-    w = np.asarray(a_rho.algebra.weights, dtype=float)
-    total, dfs = 0.0, []
-    for (idx, lam, U), a in zip(rho_groups, a_rho.stacks):
-        df = stack_function(U, f.eval_order(lam + shift, 1))
-        total += float(np.real(np.einsum("s,sab,sba->", w[idx], a, df))) / U.shape[-1]
-        dfs.append(df)
-    return total, dfs
+def _fisher_form(generator, f, rho, rho_groups):
+    """(I, a, f'(rho)) with I = tau(a f'(rho)) and a = (id - E)(A rho), from
+    the grouped eigenpairs of rho; f'(rho) comes as one stack per dim group.
 
-
-def fisher_generator(generator, f, rho, epsilon=0.0):
-    """I^f_A(rho) = tau(A(rho) f'(rho + eps*1)).
-
-    For singular rho and eps > 0 the value is Richardson-extrapolated from
-    evaluations at eps and eps/4 (first-order model in eps); nonsingular
-    states are evaluated literally at the requested shift.
+    E A = 0, so a = A(rho) in exact arithmetic; the projection drops the
+    roundoff of A(rho) in the range of E, which the O(1) mean of f'(rho)
+    would multiply while I itself is second order near the fixed points.
     """
-    if epsilon < 0.0:
-        raise ContractViolationError("epsilon must be nonnegative")
     a_rho = generator.apply(rho)
-    groups = _positive_eigh(rho)
-    if epsilon == 0.0:
-        return _fisher_at_shift(a_rho, groups, f, 0.0)[0]
-    if min(float(lam[:, 0].min()) for _, lam, _ in groups) > 0.0:
-        return _fisher_at_shift(a_rho, groups, f, epsilon)[0]
-    v_eps = _fisher_at_shift(a_rho, groups, f, epsilon)[0]
-    v_quarter = _fisher_at_shift(a_rho, groups, f, epsilon / 4.0)[0]
-    return (4.0 * v_quarter - v_eps) / 3.0
+    a = a_rho - generator.expectation.apply(a_rho)
+    w = np.asarray(rho.algebra.weights, dtype=float)
+    total, dfs = 0.0, []
+    for (idx, lam, U), x in zip(rho_groups, a.stacks):
+        df = stack_function(U, f.eval_order(lam, 1))
+        total += float(np.real(np.einsum("s,sab,sba->", w[idx], x, df))) / U.shape[-1]
+        dfs.append(df)
+    return total, a, dfs
+
+
+def fisher_generator(generator, f, rho):
+    """I^f_A(rho) = tau(A(rho) f'(rho)) for a faithful state rho, evaluated
+    as tau((id - E)(A rho) f'(rho)) with E the generator's expectation."""
+    return _fisher_form(generator, f, rho, _positive_eigh(rho))[0]
 
 
 def monotone_metric(F, rho, sigma, a, b):

@@ -50,7 +50,7 @@ class ScalarFunctionDescriptor:
         zv = self.zero_values[order]
         if zv is None:
             raise DomainError(
-                f"{self.label} order {order} is undefined at 0; request an epsilon floor")
+                f"{self.label} order {order} is undefined at 0; the state must be faithful")
         out = np.empty(x.shape, dtype=float)
         out[at_zero] = zv
         if (~at_zero).any():

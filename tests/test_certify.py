@@ -32,7 +32,7 @@ from sobolev_lab import (
     random_transposition,
     sobolev_ratio,
 )
-from sobolev_lab.algebra import element_from_json
+from sobolev_lab.algebra import AlgebraElement, element_from_json
 from sobolev_lab.certify import _ratio_and_gradient, _search_state, worker_count
 from sobolev_lab.functions import power, xlogx
 
@@ -74,26 +74,86 @@ def test_ratio_rejects_fixed_points():
         sobolev_ratio(A, power(1.5), rho.hermitian_part())
 
 
+MP_FUNCTIONS = (
+    (power(1.5), lambda mp, t: t ** mp.mpf(1.5), lambda mp, t: mp.mpf(1.5) * mp.sqrt(t)),
+    (xlogx(), lambda mp, t: t * mp.log(t), lambda mp, t: mp.log(t) + 1),
+)
+
+
+def _mp_fisher_and_entropy(mp, values, a_values, F, dF):
+    """(I, D) of a state on equal-weight sites, or of a state on M_d with an
+    action that commutes with unitary conjugation, from its site values or
+    eigenvalues and the action's image of them."""
+    n = len(values)
+    mean = mp.fsum(values) / n
+    fisher = mp.fsum(a * dF(mp, v) for a, v in zip(a_values, values)) / n
+    entropy = mp.fsum(F(mp, v) for v in values) / n - F(mp, mean)
+    return fisher, entropy
+
+
+def _mp_depolarizer_terms(mp, rho):
+    """Eigenvalues of a hermitian float matrix at the working precision,
+    and their image under id - tau(.)1."""
+    M = mp.matrix([[mp.mpc(complex(v).real, complex(v).imag) for v in row]
+                   for row in rho])
+    ev = [mp.re(e) for e in mp.eighe(M)[0]]
+    mean = mp.fsum(ev) / len(ev)
+    return ev, [v - mean for v in ev]
+
+
+def _depolarizer(d):
+    return depolarizing(ConditionalExpectation.full_average(
+        WeightedAlgebra.full_matrix(d)))
+
+
 def test_ratio_near_the_identity_against_mpmath():
-    # rho_s = 1 + 1e-5 x_s: entropy and Fisher form are ~1e-11 while their
-    # terms are O(1); a 50-digit evaluation of the same float state
+    # states at spread 1e-5 about a multiple of the identity: entropy and
+    # Fisher form are ~1e-10 while their terms are O(1); a 50-digit
+    # evaluation of the same float state
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50
     A = bernoulli_laplace(4, 2)
     m = A.algebra.n_sites
     rho = 1.0 + 1e-5 * np.random.default_rng(0).standard_normal(m)
-    state = A.algebra.from_scalars(rho)
     r = [mp.mpf(float(v)) for v in rho]
-    mean = mp.fsum(r) / m
     Lr = [mp.fsum(mp.mpf(float(A.site_matrix[s, t])) * r[t] for t in range(m))
           for s in range(m)]
-    for f, F, dF in ((power(1.5), lambda t: t ** mp.mpf(1.5),
-                      lambda t: mp.mpf(1.5) * mp.sqrt(t)),
-                     (xlogx(), lambda t: t * mp.log(t), lambda t: mp.log(t) + 1)):
-        entropy = mp.fsum(F(v) for v in r) / m - F(mean)
-        fisher = mp.fsum(lv * dF(v) for lv, v in zip(Lr, r)) / m
-        exact = float(fisher / entropy)
-        assert sobolev_ratio(A, f, state) == pytest.approx(exact, rel=1e-9)
+    cases = [(A, A.algebra.from_scalars(rho), r, Lr)]
+    # the depolarizers on M_2 and M_3: their ratio depends on the
+    # eigenvalues only, and at these seeds tau(A(rho)) carries a roundoff
+    # that f'(rho) would multiply without the projection
+    for d, seed in ((2, 4), (2, 5), (3, 1), (3, 4)):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        state = (0.5 + 3.0 * rng.random()) * (np.eye(d) + 0.5e-5 * (X + X.conj().T))
+        state = 0.5 * (state + state.conj().T)
+        Ad = _depolarizer(d)
+        cases.append((Ad, AlgebraElement(Ad.algebra, [state]),
+                      *_mp_depolarizer_terms(mp, state)))
+    for Ac, state, values, a_values in cases:
+        for f, F, dF in MP_FUNCTIONS:
+            fisher, entropy = _mp_fisher_and_entropy(mp, values, a_values, F, dF)
+            assert fisher_generator(Ac, f, state) == pytest.approx(
+                float(fisher), rel=1e-9)
+            assert sobolev_ratio(Ac, f, state) == pytest.approx(
+                float(fisher / entropy), rel=1e-9)
+
+
+@pytest.mark.parametrize("f_index", [0, 1], ids=["power", "xlogx"])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("d", [2, 3])
+def test_depolarizer_witness_against_mpmath(d, seed, f_index):
+    # the k=1 search's witness on M_d: its reported ratio is its true ratio
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    f, F, dF = MP_FUNCTIONS[f_index]
+    A = _depolarizer(d)
+    res = estimate_constant(A, f, budget=OptimizerBudget(
+        restarts=4, iterations=300, seed=seed))
+    rho = element_from_json(res.witness, A.algebra).blocks[0]
+    fisher, entropy = _mp_fisher_and_entropy(
+        mp, *_mp_depolarizer_terms(mp, rho), F, dF)
+    assert res.estimated_lambda == pytest.approx(float(fisher / entropy), rel=1e-9)
 
 
 def test_ratio_eigendecomposes_rho_once(monkeypatch):

@@ -362,6 +362,10 @@ ESTIMATE = {"command": "estimate", "model": RT3, "f": {"tag": "xlogx"},
 CONE = {"command": "cone-test", "kernel": {"tag": "log"}, "trials": 2}
 
 
+def suite_entry(**entry):
+    return {"command": "suite", "checks": [entry]}
+
+
 @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
 def test_shipped_configs_are_accepted(path):
     config = json.loads(path.read_text())
@@ -381,11 +385,19 @@ def test_shipped_configs_are_accepted(path):
     dict(DECAY, seed=1.5), dict(DECAY, seed=True),
     {"command": "suite", "checks": [3]},
     [DECAY],
+    dict(CONE, dims=[65]),
+    suite_entry(id="dpi", seed=-3), suite_entry(id="tensorization", lower="x"),
+    suite_entry(id="dpi", trials=0), suite_entry(id="entropy_decay", n_states=0),
+    suite_entry(id="gradient_identity", t_grid=[]),
+    suite_entry(id="dpi", trials=2.5), suite_entry(id="fisher_decay", n_states="3"),
 ], ids=["trials_0", "n_states_0", "ampliation_0", "lambda_0", "p_1", "p_2",
         "side_x", "dims_empty", "dims_1", "env_dims_0", "restarts_0",
         "budget_unknown_key", "t_grid_empty", "t_grid_string", "kernel_exp",
         "kernel_without_tag", "unknown_key", "seed_fractional", "seed_bool",
-        "check_not_id", "config_list"])
+        "check_not_id", "config_list", "dims_65", "check_seed_negative",
+        "check_lower_string", "check_trials_0", "check_n_states_0",
+        "check_t_grid_empty", "check_trials_fractional",
+        "check_n_states_string"])
 def test_invalid_config_exits_two_without_artifacts(tmp_path, capsys, config):
     out = tmp_path / "art"
     cfg = write_config(tmp_path, config)
