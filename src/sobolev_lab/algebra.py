@@ -450,36 +450,6 @@ def tensor_element(x, y, product_algebra=None):
     return AlgebraElement(prod, blocks)
 
 
-def factor_coeff_matrix(x, alg1, alg2):
-    """Plain coefficients of a product-algebra element as a (D1, D2) matrix.
-
-    Row index runs over algebra-1 matrix-unit coordinates, column index over
-    algebra-2 coordinates, so factor-1 superoperators act by left
-    multiplication and factor-2 ones by right multiplication with the
-    transpose.
-    """
-    C = np.zeros((alg1.coeff_dim, alg2.coeff_dim), dtype=complex)
-    site = 0
-    for w1, (k1, o1) in enumerate(zip(alg1.dims, alg1.offsets)):
-        for w2, (k2, o2) in enumerate(zip(alg2.dims, alg2.offsets)):
-            block = x.blocks[site]
-            site += 1
-            piece = block.reshape(k1, k2, k1, k2).transpose(0, 2, 1, 3)
-            C[o1:o1 + k1 * k1, o2:o2 + k2 * k2] = piece.reshape(k1 * k1, k2 * k2)
-    return C
-
-
-def element_from_factor_coeffs(C, alg1, alg2, product_algebra=None):
-    prod = product_algebra or tensor_algebra(alg1, alg2)
-    blocks = []
-    for w1, (k1, o1) in enumerate(zip(alg1.dims, alg1.offsets)):
-        for w2, (k2, o2) in enumerate(zip(alg2.dims, alg2.offsets)):
-            piece = C[o1:o1 + k1 * k1, o2:o2 + k2 * k2]
-            piece = piece.reshape(k1, k1, k2, k2).transpose(0, 2, 1, 3)
-            blocks.append(piece.reshape(k1 * k2, k1 * k2))
-    return AlgebraElement(prod, blocks)
-
-
 # -- random states -----------------------------------------------------------
 
 def random_element(algebra, seed, hermitian=False, scale=1.0):

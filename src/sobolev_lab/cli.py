@@ -52,6 +52,9 @@ _CONFIG_SPECS = {
     "dpi-test": {**_COMMON, "trials?": "integer >= 1"},
     "suite": {**_COMMON, "checks?": "check ids"},
 }
+# estimate, decay and pnorm refuse, before building one, a model whose elements
+# hold more coefficients (rt5 at k = 6 holds 4,320; gap builds no element)
+MAX_ELEMENT_COEFF_DIM = 1 << 16
 # the kind of a suite check parameter, by the type of its default
 _KIND_OF_DEFAULT = {int: "integer >= 1", float: "number",
                     tuple: "nonempty numbers", str: "string"}
@@ -274,7 +277,8 @@ _RUNNERS = {
 
 def validate_config(config, seed=None, check_filter=None):
     """Check a config, with its --seed and --check overrides, against the
-    fields of its command; return the command name."""
+    fields of its command, and its ampliated model against the element
+    budget; return the command name."""
     if not isinstance(config, dict):
         raise ContractViolationError("config must be a JSON object")
     command = config.get("command")
@@ -289,6 +293,12 @@ def validate_config(config, seed=None, check_filter=None):
         for entry in config.get("checks", ()):
             if isinstance(entry, dict) and entry["id"] in CHECKS:
                 check_spec(entry, _check_entry_fields(entry["id"]))
+    if command in ("estimate", "decay", "pnorm"):
+        k = config.get("ampliation", 1)
+        dim = model_from_spec(config["model"]).algebra.coeff_dim * k * k
+        if dim > MAX_ELEMENT_COEFF_DIM:
+            raise ContractViolationError(
+                f"elements of {dim} coefficients exceed {MAX_ELEMENT_COEFF_DIM}")
     if command == "cone-test":
         # cone_test builds d^2 x d^2 superoperators: the dense budget applies
         if max(config.get("dims", ()), default=0) ** 2 > MAX_DENSE_COEFF_DIM:

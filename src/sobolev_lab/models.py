@@ -4,15 +4,17 @@ A generator is a site matrix L (x) id_{M_k} (the transposition and
 occupancy walks, weighted graph Laplacians), a depolarizer id - E, or a
 tensor of two generators.  Each form carries its own action, semigroup, gap
 and fixed-point expectation (see GeneratorHandle), so none needs a dense
-matrix to run; dense spectral data is built only for matrix export and the
-search's gap directions, below a hard coefficient-dimension budget.  All
-built-in generators are self-adjoint for the weighted trace and positive
-semidefinite.
+matrix to run; dense spectral data is built only for the search's gap
+directions, below a hard coefficient-dimension budget.  All built-in
+generators are self-adjoint for the weighted trace and positive
+semidefinite.  Each action, semigroup and expectation is written once, on
+the (g, k, k, *batch) block stacks of an element, and carries trailing batch
+axes along; so the tensor and ampliation forms view a product stack as a
+batch of factor stacks (see _on_factors).
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import threading
@@ -20,24 +22,16 @@ import threading
 import numpy as np
 
 from .algebra import (AlgebraElement, WeightedAlgebra, ampliate_algebra,
-                      check_spec, element_from_factor_coeffs,
-                      factor_coeff_matrix, tensor_algebra, trace)
+                      check_spec, tensor_algebra)
 from .entropy import difference_derivation_from_moves
 from .errors import (AlgebraMismatchError, ContractViolationError,
                      NumericalContractError)
 
 DEFAULT_GAP_TOL = 1e-9
-# Dense (coeff_dim x coeff_dim) data is built only for export_matrix_csv and
-# the search's gap directions; no generator form needs it for its action,
-# semigroup, gap or expectation.
+# Dense (coeff_dim x coeff_dim) data is built only for the search's gap
+# directions; no generator form needs it for its action, semigroup, gap or
+# expectation.
 MAX_DENSE_COEFF_DIM = 4096
-
-
-def _check_dense_budget(algebra):
-    if algebra.coeff_dim > MAX_DENSE_COEFF_DIM:
-        raise ContractViolationError(
-            "dense spectral data refused: coefficient dimension "
-            f"{algebra.coeff_dim} exceeds {MAX_DENSE_COEFF_DIM}")
 
 
 def _checked_spectrum(S, spec, copies=1, eig=True):
@@ -69,7 +63,6 @@ def _checked_spectrum(S, spec, copies=1, eig=True):
 
 def _matrix_by_application(algebra, ap):
     """Plain-coefficient matrix of a linear map, column by basis column."""
-    _check_dense_budget(algebra)
     D = algebra.coeff_dim
     T = np.zeros((D, D), dtype=complex)
     g = 0
@@ -85,11 +78,12 @@ def _matrix_by_application(algebra, ap):
 
 
 class ConditionalExpectation:
-    """tau-preserving idempotent positive projection onto a subalgebra."""
+    """tau-preserving idempotent positive projection onto a subalgebra;
+    map_stacks maps the block stacks of an element, batch axes and all."""
 
-    def __init__(self, algebra, apply_fn, kind="lifted", cells=None):
+    def __init__(self, algebra, map_stacks, kind="lifted", cells=None):
         self.algebra = algebra
-        self._apply_fn = apply_fn
+        self.map_stacks = map_stacks
         self.kind = kind
         self.cells = cells
 
@@ -115,28 +109,32 @@ class ConditionalExpectation:
             plan.append((slots[cell[0]][0], np.array([slots[s][1] for s in cell]),
                          w / w.sum()))
 
-        def ap(x):
-            out = [np.empty_like(a) for a in x.stacks]
+        def ap(stacks):
+            out = [np.empty_like(a) for a in stacks]
             for g, pos, w in plan:
-                cell = x.stacks[g][pos]
+                cell = stacks[g][pos]
                 out[g][pos] = (w @ cell.reshape(len(w), -1)).reshape(cell.shape[1:])
-            return AlgebraElement._of(algebra, tuple(out))
+            return tuple(out)
 
         return cls(algebra, ap, kind="partition", cells=cells)
 
     @classmethod
     def full_average(cls, algebra):
         """Projection onto the scalars: x -> tau(x) 1."""
+        mu, groups = np.asarray(algebra.weights), algebra.dim_groups
 
-        def ap(x):
-            return algebra.scalar(trace(x))
+        def ap(stacks):
+            tau = sum(mu[idx] @ np.trace(a, axis1=1, axis2=2).reshape(len(idx), -1) / k
+                      for (k, idx), a in zip(groups, stacks)).reshape(stacks[0].shape[3:])
+            return tuple(np.multiply.outer(np.eye(k), tau)[None].repeat(len(idx), axis=0)
+                         for k, idx in groups)
 
         return cls(algebra, ap, kind="full")
 
     def apply(self, x):
         if x.algebra != self.algebra:
             raise AlgebraMismatchError("conditional expectation fed a foreign element")
-        return self._apply_fn(x)
+        return AlgebraElement._of(self.algebra, self.map_stacks(x.stacks))
 
 
 def _as_cells(E):
@@ -149,7 +147,7 @@ def _as_cells(E):
 
 
 def site_apply(L, arr):
-    """L acting on the site index of an (m, k, k) stack.
+    """L acting on the site index of an (m, k, k, *batch) stack.
 
     L is applied to arr minus its mean block.  Rows of L sum to zero, so the
     result is the same, but a nearly constant stack keeps its digits.
@@ -159,22 +157,48 @@ def site_apply(L, arr):
     return (L @ centered.reshape(m, -1)).reshape(arr.shape)
 
 
-def _on_factors(x, alg1, alg2, map1=None, map2=None):
-    """(map1 (x) map2)(x) for an element x of a product of alg1 and alg2.
+# the axes of a factor-1 and of a factor-2 view of (n1, n2, k1, k2, k1, k2)
+# product blocks, each with the axes that undo it
+_VIEWS = [(v, tuple(np.argsort(v))) for v in ((0, 2, 4, 1, 3, 5), (1, 3, 5, 0, 2, 4))]
 
-    map1 and map2 are linear maps on the factor algebras (None stands for the
-    identity).  map1 acts on the columns of factor_coeff_matrix(x), each the
-    plain coefficients of an alg1 element, and map2 on its rows.
+
+def _factor_plan(groups1, groups2, prod):
+    """For factors with these dim groups and product algebra prod: per dim
+    group of one factor, the (product dim group, (n1, n2) stack positions,
+    split block shape (n1, n2, k1, k2, k1, k2)) of each dim group of the
+    other; built with the generator, so threads only read it."""
+    slots, m2 = prod.site_slots, sum(len(idx) for _, idx in groups2)
+
+    def pair(k1, sites1, k2, sites2):
+        pos = np.array([[slots[s1 * m2 + s2][1] for s2 in sites2] for s1 in sites1])
+        return slots[sites1[0] * m2 + sites2[0]][0], pos, pos.shape + (k1, k2, k1, k2)
+
+    return ([[pair(*a, *b) for a in groups1] for b in groups2],
+            [[pair(*a, *b) for b in groups2] for a in groups1])
+
+
+def _on_factors(stacks, plan, map1=None, map2=None):
+    """(map1 (x) map2) on the stacks of a product-algebra element.
+
+    A product block of dim k1 k2 is a k1 x k1 array of k2 x k2 blocks, so
+    the blocks of n1 factor-1 by n2 factor-2 sites, reshaped and transposed,
+    are a factor-1 stack (n1, k1, k1) carrying (n2, k2, k2) as batch axes
+    (before any of the product's), or the other way round.  map1 and map2
+    (None is the identity) are called once per dim group of the other factor.
     """
-    def through(alg, fn, v):
-        return alg.vec(fn(alg.unvec(v, orthonormal=False)), orthonormal=False)
-
-    C = factor_coeff_matrix(x, alg1, alg2)
-    if map1 is not None:
-        C = np.stack([through(alg1, map1, c) for c in C.T], axis=1)
-    if map2 is not None:
-        C = np.stack([through(alg2, map2, r) for r in C])
-    return element_from_factor_coeffs(C, alg1, alg2, x.algebra)
+    batch = stacks[0].shape[3:]
+    tail = tuple(range(6, 6 + len(batch)))
+    for fn, passes, (view, back) in zip((map1, map2), plan, _VIEWS):
+        if fn is None:
+            continue
+        out = [np.empty(a.shape, dtype=complex) for a in stacks]
+        for parts in passes:
+            ys = fn(tuple(stacks[G][pos].reshape(split + batch).transpose(view + tail)
+                          for G, pos, split in parts))
+            for (G, pos, _), y in zip(parts, ys):
+                out[G][pos] = y.transpose(back + tail).reshape(pos.shape + out[G].shape[1:])
+        stacks = tuple(out)
+    return stacks
 
 
 def _check_moves(n_sites, moves):
@@ -184,18 +208,27 @@ def _check_moves(n_sites, moves):
     for s, t in pairs:
         if (t, s) not in pairs:
             raise ContractViolationError("moves must come in reversible pairs")
-    seen, stack = {0}, [0]
+    if len(_components(n_sites, moves)) != 1:
+        raise ContractViolationError("configuration graph is not connected")
+
+
+def _components(n_sites, moves):
+    """Connected components of the graph of moves, as sorted site tuples in
+    the order of their smallest sites."""
     neighbors = {}
     for s, t, _ in moves:
         neighbors.setdefault(s, []).append(t)
-    while stack:
-        x = stack.pop()
-        for y in neighbors.get(x, ()):
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != n_sites:
-        raise ContractViolationError("configuration graph is not connected")
+    unseen, cells = set(range(n_sites)), []
+    while unseen:
+        comp, stack = set(), [min(unseen)]
+        while stack:
+            x = stack.pop()
+            if x not in comp:
+                comp.add(x)
+                stack.extend(neighbors.get(x, ()))
+        unseen -= comp
+        cells.append(tuple(sorted(comp)))
+    return cells
 
 
 class GeneratorHandle:
@@ -207,16 +240,16 @@ class GeneratorHandle:
       (rows summing to zero).  One cached eigendecomposition of the m x m
       site matrix serves gap() and semigroup_apply at any block dim.
     - factors=(A1, A2): A1 (x) id + id (x) A2 on the tensor-product algebra.
-      The action and the semigroup act factor by factor; the gap is the
-      smaller factor gap.
+      The action and the semigroup act factor by factor, on the product
+      stacks viewed as batches of factor stacks (see _on_factors); the gap
+      is the smaller factor gap.
     - neither: the depolarizer id - E of the given expectation E, with
       semigroup E + e^{-t} (id - E) and gap 1.
 
     The fixed-point expectation is the one given; a generator built without
     one refuses .expectation.  Dense spectral data (plain_matrix, orth_matrix,
-    spectral) serves export and the search's gap directions only; it is
-    cached lazily behind a lock and refused above MAX_DENSE_COEFF_DIM
-    coefficients.
+    spectral) serves the search's gap directions only; it is cached lazily
+    behind a lock and refused above MAX_DENSE_COEFF_DIM coefficients.
     """
 
     def __init__(self, algebra, *, site_matrix=None, factors=None,
@@ -239,6 +272,8 @@ class GeneratorHandle:
                     factors[0].algebra, factors[1].algebra) != algebra:
                 raise ContractViolationError(
                     "factors must be two generators whose tensor algebra is this one")
+            self._plan = _factor_plan(factors[0].algebra.dim_groups,
+                                      factors[1].algebra.dim_groups, algebra)
         elif expectation is None:
             raise ContractViolationError("a generator needs an action")
         self.algebra = algebra
@@ -258,20 +293,27 @@ class GeneratorHandle:
     def apply(self, x):
         if x.algebra != self.algebra:
             raise AlgebraMismatchError("generator fed a foreign element")
+        return AlgebraElement._of(self.algebra, self.map_stacks(x.stacks))
+
+    def map_stacks(self, stacks):
+        """The action on the block stacks of an element, batch axes and all."""
         if self.site_matrix is not None:
-            return AlgebraElement._of(
-                self.algebra, (site_apply(self.site_matrix, x.stacks[0]),))
+            return (site_apply(self.site_matrix, stacks[0]),)
         if self.factors is not None:
             A1, A2 = self.factors
-            return (_on_factors(x, A1.algebra, A2.algebra, map1=A1.apply)
-                    + _on_factors(x, A1.algebra, A2.algebra, map2=A2.apply))
-        return x - self._expectation.apply(x)
+            return tuple(a + b for a, b in zip(
+                _on_factors(stacks, self._plan, map1=A1.map_stacks),
+                _on_factors(stacks, self._plan, map2=A2.map_stacks)))
+        return tuple(a - e for a, e in zip(stacks, self._expectation.map_stacks(stacks)))
 
     def plain_matrix(self):
         with self._lock:
             if self._plain is None:
+                if self.algebra.coeff_dim > MAX_DENSE_COEFF_DIM:
+                    raise ContractViolationError(
+                        "dense spectral data refused: coefficient dimension "
+                        f"{self.algebra.coeff_dim} exceeds {MAX_DENSE_COEFF_DIM}")
                 if self.site_matrix is not None:
-                    _check_dense_budget(self.algebra)
                     k2 = self.algebra.uniform_dim ** 2
                     self._plain = np.kron(self.site_matrix, np.eye(k2))
                 else:
@@ -339,23 +381,28 @@ def semigroup_apply(A, t, x):
     """
     if t < 0:
         raise ContractViolationError("the semigroup runs forward in time")
+    return AlgebraElement._of(A.algebra, _semigroup_stacks(A, t, x.stacks))
+
+
+def _semigroup_stacks(A, t, stacks):
+    """semigroup_apply on the block stacks of an element, batch axes and all."""
     if A.site_matrix is not None:
         lam, W, sigma = A._site_spectral()
-        X = x.stacks[0]
-        m = X.shape[0]
-        # W is real: view the complex rows as interleaved real and imaginary
-        # parts, so both are carried by one real product
-        Y = (sigma[:, None] * X.reshape(m, -1)).view(np.float64)
+        X, m = stacks[0], len(stacks[0])
+        # W is real: view the contiguous complex rows as interleaved real and
+        # imaginary parts, so both are carried by one real product
+        Y = np.ascontiguousarray(sigma[:, None] * X.reshape(m, -1)).view(np.float64)
         Y = W @ (np.exp(-float(t) * lam)[:, None] * (W.T @ Y))
         out = Y.view(complex) / sigma[:, None]
-        return AlgebraElement._of(A.algebra, (out.reshape(X.shape),))
+        return (out.reshape(X.shape),)
     if A.factors is not None:
         A1, A2 = A.factors
-        return _on_factors(x, A1.algebra, A2.algebra,
-                           lambda y: semigroup_apply(A1, t, y),
-                           lambda y: semigroup_apply(A2, t, y))
-    ex = A.expectation.apply(x)
-    return ex + (x - ex) * math.exp(-float(t))
+        return _on_factors(stacks, A._plan,
+                           lambda s: _semigroup_stacks(A1, t, s),
+                           lambda s: _semigroup_stacks(A2, t, s))
+    decay = math.exp(-float(t))
+    return tuple(e + (a - e) * decay for a, e in
+                 zip(stacks, A.expectation.map_stacks(stacks)))
 
 
 # -- builders ------------------------------------------------------------------
@@ -483,22 +530,7 @@ def graph_laplacian(adjacency, site_weights=None, matrix_dim=1):
     L = np.diag(W.sum(axis=1) / mu) - W / mu[:, None]
     moves = [(x, y, W[x, y] / mu[x])
              for x in range(m) for y in range(m) if W[x, y] > 0]
-
-    # connected components of the positive-weight graph
-    unseen = set(range(m))
-    cells = []
-    while unseen:
-        root = min(unseen)
-        comp, stack = {root}, [root]
-        while stack:
-            x = stack.pop()
-            for y in range(m):
-                if W[x, y] > 0 and y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        unseen -= comp
-        cells.append(tuple(sorted(comp)))
-    E = ConditionalExpectation.from_partition(algebra, cells)
+    E = ConditionalExpectation.from_partition(algebra, _components(m, moves))
 
     params = {"adjacency": [[float(w) for w in row] for row in W]}
     if site_weights is not None:
@@ -515,9 +547,9 @@ def _ampliate_expectation(E, alg2, factor):
     cells = _as_cells(E)
     if cells is not None:
         return ConditionalExpectation.from_partition(alg2, cells)
-    mk = WeightedAlgebra.full_matrix(factor, label=("amp", factor))
+    plan = _factor_plan(E.algebra.dim_groups, ((factor, np.array([0])),), alg2)
     return ConditionalExpectation(
-        alg2, lambda x: _on_factors(x, E.algebra, mk, map1=E.apply))
+        alg2, lambda stacks: _on_factors(stacks, plan, map1=E.map_stacks))
 
 
 def ampliate_generator(A, factor):
@@ -551,8 +583,9 @@ def tensor_generator(A1, A2):
     alg1, alg2 = A1.algebra, A2.algebra
     E1, E2 = A1.expectation, A2.expectation
     alg = tensor_algebra(alg1, alg2)
+    plan = _factor_plan(alg1.dim_groups, alg2.dim_groups, alg)
     E = ConditionalExpectation(
-        alg, lambda x: _on_factors(x, alg1, alg2, E1.apply, E2.apply))
+        alg, lambda stacks: _on_factors(stacks, plan, E1.map_stacks, E2.map_stacks))
     spec = None
     if A1.spec is not None and A2.spec is not None:
         spec = {"model": "tensor", "factors": [A1.spec, A2.spec]}
@@ -657,18 +690,3 @@ def model_from_spec(spec):
         f1, f2 = spec["factors"]
         return tensor_generator(model_from_spec(f1), model_from_spec(f2))
     return ampliate_generator(model_from_spec(spec["base"]), int(spec["factor"]))
-
-
-def export_matrix_csv(A, path, orthonormal=True):
-    """Dense generator matrix as CSV, real and imaginary parts interleaved."""
-    M = A.orth_matrix() if orthonormal else A.plain_matrix()
-    M = np.asarray(M, dtype=complex)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in M:
-            out = []
-            for z in row:
-                out.append(f"{z.real:.12g}")
-                out.append(f"{z.imag:.12g}")
-            writer.writerow(out)
-    return path

@@ -31,8 +31,9 @@ from sobolev_lab import (
     random_positive,
     random_transposition,
     sobolev_ratio,
+    tensor_generator,
 )
-from sobolev_lab.algebra import AlgebraElement, element_from_json
+from sobolev_lab.algebra import AlgebraElement, element_from_json, tensor_element
 from sobolev_lab.certify import _ratio_and_gradient, _search_state, worker_count
 from sobolev_lab.functions import power, xlogx
 
@@ -172,6 +173,32 @@ def test_ratio_eigendecomposes_rho_once(monkeypatch):
     rho = random_positive(A.algebra, floor=1e-3, seed=4)
     sobolev_ratio(A, power(1.5), rho)
     assert len(calls) == 2
+
+
+def _dep(d):
+    return depolarizing(ConditionalExpectation.full_average(
+        WeightedAlgebra.full_matrix(d)))
+
+
+@pytest.mark.parametrize("f", [power(1.5), xlogx()], ids=["power", "xlogx"])
+@pytest.mark.parametrize("build", [
+    lambda: (random_transposition(3), _dep(2)),
+    lambda: (random_transposition(2), bernoulli_laplace(3, 1)),
+    lambda: (_dep(2), _dep(3)),
+], ids=["rt3_x_dep2", "rt2_x_bl31", "dep2_x_dep3"])
+def test_tensor_ratio_of_an_embedded_factor_state(build, f):
+    # A2(1) = 0 and (E1 (x) E2)(rho1 (x) 1) = E1 rho1 (x) 1, so a factor
+    # state embedded next to the identity keeps its ratio exactly; the same
+    # holds for 1 (x) rho2
+    A1, A2 = build()
+    T = tensor_generator(A1, A2)
+    rho1 = random_positive(A1.algebra, floor=1e-3, seed=make_rng(62, 1))
+    rho2 = random_positive(A2.algebra, floor=1e-3, seed=make_rng(62, 2))
+    for A, rho, embedded in [
+            (A1, rho1, tensor_element(rho1, A2.algebra.identity(), T.algebra)),
+            (A2, rho2, tensor_element(A1.algebra.identity(), rho2, T.algebra))]:
+        assert sobolev_ratio(T, f, embedded) == pytest.approx(
+            sobolev_ratio(A, f, rho), rel=1e-12, abs=0.0)
 
 
 # -- the search objective --------------------------------------------------------

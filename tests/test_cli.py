@@ -293,6 +293,14 @@ def test_rt5_k6_runs_past_the_dense_budget(tmp_path, config):
                quiet=True) == 0
 
 
+def test_gap_runs_past_the_element_budget(tmp_path):
+    # the gap comes from the 6 x 6 site spectrum; no element is built
+    out = tmp_path / "art"
+    assert run({"command": "gap", "model": RT3_HUGE}, out_dir=str(out),
+               quiet=True) == 0
+    assert json.loads((out / "gap.json").read_text())["verdict"] == "pass"
+
+
 def test_depolarizer_past_the_dense_budget_decays_but_is_not_searched(tmp_path):
     # 2 * 50^2 = 5000 coefficients: id - E decays in closed form, while the
     # search's gap directions need the dense spectrum, which is refused
@@ -360,6 +368,8 @@ PNORM = {"command": "pnorm", "model": RT3, "p": 1.5, "lambda": 0.75,
 ESTIMATE = {"command": "estimate", "model": RT3, "f": {"tag": "xlogx"},
             "budget": TINY_BUDGET}
 CONE = {"command": "cone-test", "kernel": {"tag": "log"}, "trials": 2}
+# 6 * 100000^2 coefficients an element, far past the element budget
+RT3_HUGE = dict(RT3, matrix_dim=100000)
 
 
 def suite_entry(**entry):
@@ -390,6 +400,8 @@ def test_shipped_configs_are_accepted(path):
     suite_entry(id="dpi", trials=0), suite_entry(id="entropy_decay", n_states=0),
     suite_entry(id="gradient_identity", t_grid=[]),
     suite_entry(id="dpi", trials=2.5), suite_entry(id="fisher_decay", n_states="3"),
+    dict(ESTIMATE, model=RT3_HUGE), dict(DECAY, model=RT3_HUGE),
+    dict(PNORM, model=RT3_HUGE), dict(DECAY, ampliation=100000),
 ], ids=["trials_0", "n_states_0", "ampliation_0", "lambda_0", "p_1", "p_2",
         "side_x", "dims_empty", "dims_1", "env_dims_0", "restarts_0",
         "budget_unknown_key", "t_grid_empty", "t_grid_string", "kernel_exp",
@@ -397,7 +409,8 @@ def test_shipped_configs_are_accepted(path):
         "check_not_id", "config_list", "dims_65", "check_seed_negative",
         "check_lower_string", "check_trials_0", "check_n_states_0",
         "check_t_grid_empty", "check_trials_fractional",
-        "check_n_states_string"])
+        "check_n_states_string", "estimate_huge", "decay_huge", "pnorm_huge",
+        "decay_ampliation_huge"])
 def test_invalid_config_exits_two_without_artifacts(tmp_path, capsys, config):
     out = tmp_path / "art"
     cfg = write_config(tmp_path, config)

@@ -1,7 +1,5 @@
 """Built-in generators: walks, depolarizers, graph Laplacians, semigroups."""
 
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +26,6 @@ from sobolev_lab import (
 )
 from sobolev_lab.algebra import ampliate, random_element, tensor_element
 from sobolev_lab.functions import power
-from sobolev_lab.models import export_matrix_csv
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -321,8 +318,14 @@ def _rt3_x_dep2():
                             _dep(WeightedAlgebra.full_matrix(2)))
 
 
+def _dep_mixed():
+    # the depolarizer of a scalar site and an M_2 site
+    return _dep(WeightedAlgebra.build([("a", 1), ("b", 2)]))
+
+
 # the depolarizer and tensor forms, and the ampliations that map them to
-# themselves: ampliate(dep) is a depolarizer, ampliate(tensor) a tensor
+# themselves: ampliate(dep) is a depolarizer, ampliate(tensor) a tensor;
+# the mixed models put block dims 1 and 2 side by side in one factor
 STRUCTURED_MODELS = {
     "dep_m3": lambda: _dep(WeightedAlgebra.full_matrix(3)),
     "dep_blocks42": lambda: _dep(WeightedAlgebra.block_sites(4, 2)),
@@ -331,6 +334,10 @@ STRUCTURED_MODELS = {
     "rt2_x_bl31": lambda: tensor_generator(random_transposition(2),
                                            bernoulli_laplace(3, 1)),
     "rt3_x_dep2_amp2": lambda: ampliate_generator(_rt3_x_dep2(), 2),
+    "dep_mixed_amp2": lambda: ampliate_generator(_dep_mixed(), 2),
+    "rt2_x_dep_mixed": lambda: tensor_generator(random_transposition(2), _dep_mixed()),
+    "dep_mixed_x_dep_mixed": lambda: tensor_generator(_dep_mixed(), _dep_mixed()),
+    "rt3_x_dep2_x_dep_mixed": lambda: tensor_generator(_rt3_x_dep2(), _dep_mixed()),
 }
 
 
@@ -393,19 +400,25 @@ def test_identity_expectation_has_no_depolarizer(E):
         depolarizing(E)
 
 
+def _refuse_dense_data(monkeypatch):
+    from sobolev_lab import GeneratorHandle
+
+    def refuse(self):
+        raise AssertionError("dense generator data built")
+
+    monkeypatch.setattr(GeneratorHandle, "plain_matrix", refuse)
+    monkeypatch.setattr(GeneratorHandle, "spectral", refuse)
+
+
 @pytest.mark.parametrize("build", [lambda: random_transposition(4, matrix_dim=4),
                                    lambda: bernoulli_laplace(4, 2, matrix_dim=2),
                                    *STRUCTURED_MODELS.values()],
                          ids=["rt4_k4", "bl42_k2", *STRUCTURED_MODELS])
 def test_decay_path_builds_no_dense_data(build, monkeypatch):
-    from sobolev_lab import GeneratorHandle, decay_check, fisher_decay_check
+    from sobolev_lab import decay_check, fisher_decay_check
     from sobolev_lab.functions import xlogx
 
-    def refuse(self):
-        raise AssertionError("dense data built on the decay path")
-
-    monkeypatch.setattr(GeneratorHandle, "plain_matrix", refuse)
-    monkeypatch.setattr(GeneratorHandle, "spectral", refuse)
+    _refuse_dense_data(monkeypatch)
     A = build()
     assert A.gap() == pytest.approx(A.exact_gap, abs=1e-9)
     states = [random_positive(A.algebra, floor=1e-3, seed=make_rng(52, s))
@@ -413,6 +426,28 @@ def test_decay_path_builds_no_dense_data(build, monkeypatch):
     for f in (power(1.5), xlogx()):
         assert decay_check(A, f, 0.5, states).verdict == "pass"
         fisher_decay_check(A, f, 0.5, states)
+
+
+# the search runs on uniform block dims only
+UNIFORM_MODELS = [tag for tag, build in STRUCTURED_MODELS.items()
+                  if build().algebra.uniform_dim is not None]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("tag", UNIFORM_MODELS)
+def test_ratio_path_builds_no_dense_data(tag, k, monkeypatch):
+    from sobolev_lab import sobolev_ratio
+    from sobolev_lab.certify import _ratio_and_gradient
+    from sobolev_lab.functions import xlogx
+
+    _refuse_dense_data(monkeypatch)
+    A = ampliate_generator(STRUCTURED_MODELS[tag](), k)
+    rho = random_positive(A.algebra, floor=1e-3, seed=make_rng(53, k))
+    x = make_rng(54, k).standard_normal(2 * A.algebra.coeff_dim)
+    for f in (power(1.5), xlogx()):
+        assert np.isfinite(sobolev_ratio(A, f, rho))
+        value, grad = _ratio_and_gradient(A, f, x)
+        assert np.isfinite(value) and np.all(np.isfinite(grad))
 
 
 # -- ampliation and tensoring ------------------------------------------------------------
@@ -526,18 +561,6 @@ def test_model_spec_roundtrip_is_idempotent(A):
 def test_model_spec_rejects_unknown_tags():
     with pytest.raises(ContractViolationError):
         model_from_spec({"model": "glauber", "params": {}})
-
-
-def test_export_matrix_csv_roundtrip(tmp_path):
-    A = ring4()
-    path = tmp_path / "generator.csv"
-    export_matrix_csv(A, path)
-    with open(path, newline="") as fh:
-        rows = [[float(v) for v in row] for row in csv.reader(fh)]
-    m = len(rows)
-    M = np.array([[complex(row[2 * j], row[2 * j + 1]) for j in range(m)]
-                  for row in rows])
-    assert np.linalg.norm(M - A.orth_matrix()) <= 1e-9 * (1.0 + np.linalg.norm(M))
 
 
 def test_site_matrix_rows_must_sum_to_zero():
