@@ -281,37 +281,18 @@ def known_bracket(A, f):
 
 # -- constant search -----------------------------------------------------------
 
-def _gap_directions(A):
-    """tau-normalized hermitian eigenvectors at the spectral gap."""
-    lam, V = A.spectral()
-    gap = A.gap()
-    alg = A.algebra
-    out = []
-    for i in range(lam.size):
-        if len(out) >= MAX_DIRECTIONS:
-            break
-        if not (lam[i] > A.gap_tol and lam[i] <= gap * (1.0 + 1e-9) + 1e-12):
-            continue
-        phi = alg.unvec(V[:, i])
-        for part in (phi.hermitian_part(),
-                     ((phi - phi.adjoint()) * 1j).hermitian_part()):
-            nrm = float(np.linalg.norm(alg.vec(part)))
-            if nrm > 1e-10:
-                out.append(part * (1.0 / nrm))
-    return out[:MAX_DIRECTIONS]
-
-
 def estimate_constant(A, f, ampliation=1, budget=None):
     """Search for the optimal decay constant of A against the entropy of f.
 
-    Two ingredients: a perturbative scan along kernel-gap eigenvectors on
-    both sides of the identity (which pins the small-perturbation value, an
-    upper bound of twice the gap), and L-BFGS-B descent on sobolev_ratio with
-    its analytic Daleckii-Krein gradient from budget.restarts seeded random
-    interior states.  Every scan state and each restart's end point is
-    evaluated through sobolev_ratio, and the reported estimate is the
-    minimum of those values, so the witness reproduces it exactly.  Block
-    dims must be uniform.
+    Two ingredients: a perturbative scan on both sides of the identity along
+    the gap eigenvectors that the generator's form gives (which pins the
+    small-perturbation value, an upper bound of twice the gap), and L-BFGS-B
+    descent on sobolev_ratio with its analytic Daleckii-Krein gradient from
+    budget.restarts seeded random interior states.  Every scan state and
+    each restart's end point is evaluated through sobolev_ratio, and the
+    reported estimate is the minimum of those values, so the witness
+    reproduces it exactly.  No dense generator data is built, so the search
+    runs past MAX_DENSE_COEFF_DIM.  Block dims must be uniform.
     """
     budget = budget or OptimizerBudget()
     Ak = ampliate_generator(A, int(ampliation))
@@ -334,7 +315,7 @@ def estimate_constant(A, f, ampliation=1, budget=None):
 
     # perturbative scan on both sides of the identity
     one = alg.identity()
-    for phi in _gap_directions(Ak):
+    for phi in Ak.gap_directions(MAX_DIRECTIONS):
         for eps in CURVE_EPS:
             for sign in (1.0, -1.0):
                 state = one + phi * (sign * float(eps))

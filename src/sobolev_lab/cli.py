@@ -20,7 +20,7 @@ import os
 import sys
 import tempfile
 
-from .algebra import check_spec, make_rng, random_positive
+from .algebra import check_spec
 from .certify import (OptimizerBudget, decay_check, estimate_constant,
                       pnorm_decay_check)
 from .doi import cone_test, log_difference, power_difference
@@ -28,8 +28,8 @@ from .errors import (ContractViolationError, DegenerateStateError, DomainError,
                      NumericalContractError)
 from .functions import function_from_spec
 from .models import MAX_DENSE_COEFF_DIM, ampliate_generator, model_from_spec
-from .suite import (CHECKS, _model_label, check_dpi, csv_text,
-                    reports_to_csv, suite_run, suite_verdict)
+from .suite import (CHECKS, _model_label, _seeded_states, check_dpi,
+                    csv_text, reports_to_csv, suite_run, suite_verdict)
 
 # the fields of each command's config (see algebra.check_spec); the model
 # and f objects are checked by model_from_spec and function_from_spec
@@ -104,11 +104,6 @@ def _build_model(config):
                               int(config.get("ampliation", 1)))
 
 
-def _states(A, n, seed, floor=1e-3):
-    return [random_positive(A.algebra, floor=floor, seed=make_rng(seed, 3, i))
-            for i in range(n)]
-
-
 def _report_artifacts(out, stem, report, extra=None):
     payload = dict(report.to_json())
     if extra:
@@ -170,7 +165,7 @@ def _run_decay(config, out, seed, quiet):
     f = function_from_spec(config["f"])
     lam = float(config["lambda"])
     t_grid = tuple(float(t) for t in config.get("t_grid") or ()) or None
-    states = _states(A, int(config.get("n_states", 20)), seed)
+    states = _seeded_states(A, int(config.get("n_states", 20)), seed, 3)
     report = decay_check(A, f, lam, states, t_grid=t_grid)
     _report_artifacts(out, "decay", report,
                       {"command": "decay", "model": A.spec, "seed": seed})
@@ -189,7 +184,7 @@ def _run_pnorm(config, out, seed, quiet):
     p = float(config["p"])
     lam = float(config["lambda"])
     t_grid = tuple(float(t) for t in config.get("t_grid") or ()) or None
-    states = _states(A, int(config.get("n_states", 20)), seed)
+    states = _seeded_states(A, int(config.get("n_states", 20)), seed, 3)
     report = pnorm_decay_check(A, p, lam, states, t_grid=t_grid)
     _report_artifacts(out, "pnorm", report,
                       {"command": "pnorm", "model": A.spec, "seed": seed})
@@ -277,8 +272,9 @@ _RUNNERS = {
 
 def validate_config(config, seed=None, check_filter=None):
     """Check a config, with its --seed and --check overrides, against the
-    fields of its command, and its ampliated model against the element
-    budget; return the command name."""
+    fields of its command, build its model, and check the ampliated model of
+    every command but gap against the element budget; return the command
+    name."""
     if not isinstance(config, dict):
         raise ContractViolationError("config must be a JSON object")
     command = config.get("command")
@@ -293,10 +289,10 @@ def validate_config(config, seed=None, check_filter=None):
         for entry in config.get("checks", ()):
             if isinstance(entry, dict) and entry["id"] in CHECKS:
                 check_spec(entry, _check_entry_fields(entry["id"]))
-    if command in ("estimate", "decay", "pnorm"):
+    if "model" in config:
         k = config.get("ampliation", 1)
         dim = model_from_spec(config["model"]).algebra.coeff_dim * k * k
-        if dim > MAX_ELEMENT_COEFF_DIM:
+        if command != "gap" and dim > MAX_ELEMENT_COEFF_DIM:
             raise ContractViolationError(
                 f"elements of {dim} coefficients exceed {MAX_ELEMENT_COEFF_DIM}")
     if command == "cone-test":

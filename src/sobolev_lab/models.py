@@ -2,10 +2,10 @@
 
 A generator is a site matrix L (x) id_{M_k} (the transposition and
 occupancy walks, weighted graph Laplacians), a depolarizer id - E, or a
-tensor of two generators.  Each form carries its own action, semigroup, gap
-and fixed-point expectation (see GeneratorHandle), so none needs a dense
-matrix to run; dense spectral data is built only for the search's gap
-directions, below a hard coefficient-dimension budget.  All built-in
+tensor of two generators.  Each form carries its own action, semigroup, gap,
+gap eigenspace and fixed-point expectation (see GeneratorHandle), so none
+needs a dense matrix to run; dense spectral data is a test reference only,
+built below a hard coefficient-dimension budget.  All built-in
 generators are self-adjoint for the weighted trace and positive
 semidefinite.  Each action, semigroup and expectation is written once, on
 the (g, k, k, *batch) block stacks of an element, and carries trailing batch
@@ -22,15 +22,14 @@ import threading
 import numpy as np
 
 from .algebra import (AlgebraElement, WeightedAlgebra, ampliate_algebra,
-                      check_spec, tensor_algebra)
+                      check_spec, tensor_algebra, tensor_element)
 from .entropy import difference_derivation_from_moves
 from .errors import (AlgebraMismatchError, ContractViolationError,
                      NumericalContractError)
 
 DEFAULT_GAP_TOL = 1e-9
-# Dense (coeff_dim x coeff_dim) data is built only for the search's gap
-# directions; no generator form needs it for its action, semigroup, gap or
-# expectation.
+# Dense (coeff_dim x coeff_dim) data is a test reference only, built within
+# this budget; no run path needs it.
 MAX_DENSE_COEFF_DIM = 4096
 
 
@@ -61,19 +60,31 @@ def _checked_spectrum(S, spec, copies=1, eig=True):
     return np.maximum(lam, 0.0), V
 
 
+def _at_gap(lam, gap, tol):
+    """Which eigenvalues lam lie above tol and at the gap."""
+    return (lam > tol) & (lam <= gap * (1.0 + 1e-9) + 1e-12)
+
+
+def _hermitian_basis(k):
+    """A hermitian basis of M_k, lazily: the X- and Y-like pair of each
+    off-diagonal, the diagonals E_aa - E_bb of neighbours, the identity."""
+    one = np.eye(k, dtype=complex)
+    for a, b in itertools.combinations(range(k), 2):
+        e = np.outer(one[a], one[b])
+        yield e + e.T
+        yield 1j * (e.T - e)
+    for a in range(k - 1):
+        yield np.diag(one[a] - one[a + 1])
+    yield one
+
+
 def _matrix_by_application(algebra, ap):
     """Plain-coefficient matrix of a linear map, column by basis column."""
     D = algebra.coeff_dim
     T = np.zeros((D, D), dtype=complex)
-    g = 0
-    for s, k in enumerate(algebra.dims):
-        for a in range(k):
-            for b in range(k):
-                blocks = [np.zeros((d, d), dtype=complex) for d in algebra.dims]
-                blocks[s][a, b] = 1.0
-                e = AlgebraElement(algebra, blocks)
-                T[:, g] = algebra.vec(ap(e), orthonormal=False)
-                g += 1
+    for g in range(D):
+        e = algebra.unvec(np.eye(1, D, g)[0], orthonormal=False)
+        T[:, g] = algebra.vec(ap(e), orthonormal=False)
     return T
 
 
@@ -248,8 +259,8 @@ class GeneratorHandle:
 
     The fixed-point expectation is the one given; a generator built without
     one refuses .expectation.  Dense spectral data (plain_matrix, orth_matrix,
-    spectral) serves the search's gap directions only; it is cached lazily
-    behind a lock and refused above MAX_DENSE_COEFF_DIM coefficients.
+    spectral) is a test reference only, refused above MAX_DENSE_COEFF_DIM
+    coefficients.
     """
 
     def __init__(self, algebra, *, site_matrix=None, factors=None,
@@ -285,9 +296,6 @@ class GeneratorHandle:
         self.exact_gap = exact_gap
         self.gap_tol = float(gap_tol)
         self._lock = threading.Lock()
-        self._plain = None
-        self._orth = None
-        self._eig = None
         self._site_eig = None
 
     def apply(self, x):
@@ -307,36 +315,21 @@ class GeneratorHandle:
         return tuple(a - e for a, e in zip(stacks, self._expectation.map_stacks(stacks)))
 
     def plain_matrix(self):
-        with self._lock:
-            if self._plain is None:
-                if self.algebra.coeff_dim > MAX_DENSE_COEFF_DIM:
-                    raise ContractViolationError(
-                        "dense spectral data refused: coefficient dimension "
-                        f"{self.algebra.coeff_dim} exceeds {MAX_DENSE_COEFF_DIM}")
-                if self.site_matrix is not None:
-                    k2 = self.algebra.uniform_dim ** 2
-                    self._plain = np.kron(self.site_matrix, np.eye(k2))
-                else:
-                    self._plain = _matrix_by_application(self.algebra, self.apply)
-            return self._plain
+        if self.algebra.coeff_dim > MAX_DENSE_COEFF_DIM:
+            raise ContractViolationError(
+                "dense spectral data refused: coefficient dimension "
+                f"{self.algebra.coeff_dim} exceeds {MAX_DENSE_COEFF_DIM}")
+        return _matrix_by_application(self.algebra, self.apply)
 
     def orth_matrix(self):
         """Matrix in the orthonormal coordinates; hermitian by self-adjointness."""
-        T = self.plain_matrix()
-        with self._lock:
-            if self._orth is None:
-                s = self.algebra.scales
-                self._orth = _checked_spectrum(
-                    (s[:, None] * T) / s[None, :], self.spec, eig=False)
-            return self._orth
+        s = self.algebra.scales
+        return _checked_spectrum((s[:, None] * self.plain_matrix()) / s[None, :],
+                                 self.spec, eig=False)
 
     def spectral(self):
         """Dense eigendecomposition (lam, V) of orth_matrix."""
-        S = self.orth_matrix()
-        with self._lock:
-            if self._eig is None:
-                self._eig = _checked_spectrum(S, self.spec)
-            return self._eig
+        return _checked_spectrum(self.orth_matrix(), self.spec)
 
     def _site_spectral(self):
         """(lam, W, sigma) of the site matrix in tau-orthonormal site
@@ -361,6 +354,35 @@ class GeneratorHandle:
         if above.size == 0:
             raise ContractViolationError("no spectrum above the kernel tolerance")
         return float(above[0])
+
+    def gap_directions(self, limit):
+        """At most limit hermitian tau-normalized x with E x = 0 and A x =
+        gap x, from the form: gap site vectors (their sum, then all but the
+        last) times a hermitian basis of M_k; hermitian units minus their
+        expectation; or the directions (x) 1 of each factor at the gap."""
+        alg = self.algebra
+        if self.factors is not None:
+            ones = [B.algebra.identity() for B in self.factors]
+            found = (tensor_element(*ones[:i], x, *ones[i + 1:], alg)
+                     for i, B in enumerate(self.factors)
+                     if _at_gap(B.gap(), self.gap(), 0.0)
+                     for x in B.gap_directions(limit))
+        elif self.site_matrix is not None:
+            lam, W, sigma = self._site_spectral()
+            V = W[:, _at_gap(lam, self.gap(), self.gap_tol)]
+            # the columns' sum leads: near the identity its ratio comes closer
+            # to twice the gap than a single column's does (bl42 at k = 2)
+            found = (AlgebraElement._of(alg, (np.multiply.outer(v / sigma, u),))
+                     for v in [V.sum(axis=1), *V.T[:-1]]
+                     for u in _hermitian_basis(alg.uniform_dim))
+        else:
+            units = (AlgebraElement(alg, [u if t == s else np.zeros((d, d))
+                                          for t, d in enumerate(alg.dims)])
+                     for s, k in enumerate(alg.dims) for u in _hermitian_basis(k))
+            found = (x - self.expectation.apply(x) for x in units)
+        norms = ((x, float(np.linalg.norm(alg.vec(x)))) for x in found)
+        return list(itertools.islice(
+            (x * (1.0 / n) for x, n in norms if n > 1e-10), limit))
 
     @property
     def expectation(self):

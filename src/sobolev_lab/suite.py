@@ -237,7 +237,7 @@ def check_gradient_identity(seed=0, instances=12, h=1e-4, t_grid=(0.0, 0.1, 1.0)
                                     meta={"seed": seed, "h": float(h)})
 
 
-def _decay_states(A, n_states, seed, key):
+def _seeded_states(A, n_states, seed, key):
     return [random_positive(A.algebra, floor=1e-3, seed=make_rng(seed, key, i))
             for i in range(n_states)]
 
@@ -254,7 +254,7 @@ def check_entropy_decay(seed=0, n_states=8):
     for j, (A, f, lam) in enumerate(jobs):
         for k in (1, 2):
             Ak = ampliate_generator(A, k)
-            states = _decay_states(Ak, int(n_states), seed, 37 + j)
+            states = _seeded_states(Ak, int(n_states), seed, 37 + j)
             rep = decay_check(Ak, f, lam, states)
             trials += len(states)
             for r in rep.records:
@@ -268,7 +268,7 @@ def check_fisher_decay(seed=0, n_states=5):
     """Fisher decay profile at the entropy rate; informational."""
     A = random_transposition(3)
     f = power(1.5)
-    states = _decay_states(A, int(n_states), seed, 41)
+    states = _seeded_states(A, int(n_states), seed, 41)
     rep = fisher_decay_check(A, f, 1.5, states)
     return CheckReport.from_records("fisher_decay", rep.records, 0.0, 1e-9,
                                     trials=len(states), informational=True,
@@ -278,7 +278,7 @@ def check_fisher_decay(seed=0, n_states=5):
 def check_pnorm_decay(seed=0, n_states=10, p=1.5):
     """Norm return-to-average bound driven by the certified constant."""
     A = random_transposition(3)
-    states = _decay_states(A, int(n_states), seed, 43)
+    states = _seeded_states(A, int(n_states), seed, 43)
     rep = pnorm_decay_check(A, p, p / 2.0, states)
     return CheckReport.from_records("pnorm_decay", rep.records, 0.0, 1e-9,
                                     trials=len(states),

@@ -284,13 +284,17 @@ def test_broken_generator_exits_three(tmp_path, capsys, monkeypatch,
     {"command": "gap"},
     {"command": "decay", "f": {"tag": "xlogx"}, "lambda": 1.0, "n_states": 3},
     {"command": "pnorm", "p": 1.5, "lambda": 0.75, "n_states": 3},
-], ids=["gap", "decay", "pnorm"])
+    {"command": "estimate", "f": {"tag": "power", "p": 1.5},
+     "budget": TINY_BUDGET},
+], ids=["gap", "decay", "pnorm", "estimate"])
 def test_rt5_k6_runs_past_the_dense_budget(tmp_path, config):
-    # 120 * 6^2 = 4320 coefficients: the walk's gap and semigroup use its
-    # 120 x 120 site spectrum and need no dense matrix
+    # 120 * 6^2 = 4320 coefficients: the walk's gap, semigroup and gap
+    # directions use its 120 x 120 site spectrum and need no dense matrix
     model = {"model": "random_transposition", "params": {"n": 5}, "matrix_dim": 6}
-    assert run(dict(config, model=model), out_dir=str(tmp_path / "art"),
-               quiet=True) == 0
+    out = tmp_path / "art"
+    assert run(dict(config, model=model), out_dir=str(out), quiet=True) == 0
+    payload = json.loads((out / f"{config['command']}.json").read_text())
+    assert payload["verdict"] == "pass"
 
 
 def test_gap_runs_past_the_element_budget(tmp_path):
@@ -301,17 +305,18 @@ def test_gap_runs_past_the_element_budget(tmp_path):
     assert json.loads((out / "gap.json").read_text())["verdict"] == "pass"
 
 
-def test_depolarizer_past_the_dense_budget_decays_but_is_not_searched(tmp_path):
-    # 2 * 50^2 = 5000 coefficients: id - E decays in closed form, while the
-    # search's gap directions need the dense spectrum, which is refused
+def test_depolarizer_past_the_dense_budget_decays_and_is_searched(tmp_path):
+    # 2 * 50^2 = 5000 coefficients: id - E decays in closed form, and the
+    # search takes its gap directions from the depolarizer's own form
     model = {"model": "depolarizing", "params": {"sites": 2}, "matrix_dim": 50}
     decay = {"command": "decay", "model": model, "f": {"tag": "xlogx"},
              "lambda": 1.0, "n_states": 2}
     assert run(decay, out_dir=str(tmp_path / "decay"), quiet=True) == 0
     estimate = {"command": "estimate", "model": model, "f": {"tag": "xlogx"},
                 "budget": TINY_BUDGET}
-    assert run(estimate, out_dir=str(tmp_path / "estimate"), quiet=True) == 2
-    assert not (tmp_path / "estimate").exists()
+    assert run(estimate, out_dir=str(tmp_path / "estimate"), quiet=True) == 0
+    assert {p.name for p in (tmp_path / "estimate").iterdir()} == {
+        "estimate.json", "estimate.csv"}
 
 
 DEP1 = {"model": "depolarizing", "params": {"sites": 1}, "matrix_dim": 1}
@@ -402,6 +407,7 @@ def test_shipped_configs_are_accepted(path):
     suite_entry(id="dpi", trials=2.5), suite_entry(id="fisher_decay", n_states="3"),
     dict(ESTIMATE, model=RT3_HUGE), dict(DECAY, model=RT3_HUGE),
     dict(PNORM, model=RT3_HUGE), dict(DECAY, ampliation=100000),
+    {"command": "gap", "model": {"model": "random_transposition", "params": {}}},
 ], ids=["trials_0", "n_states_0", "ampliation_0", "lambda_0", "p_1", "p_2",
         "side_x", "dims_empty", "dims_1", "env_dims_0", "restarts_0",
         "budget_unknown_key", "t_grid_empty", "t_grid_string", "kernel_exp",
@@ -410,7 +416,7 @@ def test_shipped_configs_are_accepted(path):
         "check_lower_string", "check_trials_0", "check_n_states_0",
         "check_t_grid_empty", "check_trials_fractional",
         "check_n_states_string", "estimate_huge", "decay_huge", "pnorm_huge",
-        "decay_ampliation_huge"])
+        "decay_ampliation_huge", "gap_malformed_spec"])
 def test_invalid_config_exits_two_without_artifacts(tmp_path, capsys, config):
     out = tmp_path / "art"
     cfg = write_config(tmp_path, config)

@@ -436,7 +436,7 @@ UNIFORM_MODELS = [tag for tag, build in STRUCTURED_MODELS.items()
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("tag", UNIFORM_MODELS)
 def test_ratio_path_builds_no_dense_data(tag, k, monkeypatch):
-    from sobolev_lab import sobolev_ratio
+    from sobolev_lab import OptimizerBudget, estimate_constant, sobolev_ratio
     from sobolev_lab.certify import _ratio_and_gradient
     from sobolev_lab.functions import xlogx
 
@@ -448,6 +448,47 @@ def test_ratio_path_builds_no_dense_data(tag, k, monkeypatch):
         assert np.isfinite(sobolev_ratio(A, f, rho))
         value, grad = _ratio_and_gradient(A, f, x)
         assert np.isfinite(value) and np.all(np.isfinite(grad))
+    # the whole search, its scan along the gap directions included
+    res = estimate_constant(STRUCTURED_MODELS[tag](), power(1.5), k,
+                            OptimizerBudget(restarts=1, iterations=5))
+    assert np.isfinite(res.estimated_lambda)
+    assert res.estimated_lambda == res.witness_ratio
+
+
+WALKS = {"rt3": lambda: random_transposition(3), "rt4": lambda: random_transposition(4),
+         "bl31": lambda: bernoulli_laplace(3, 1), "bl42": lambda: bernoulli_laplace(4, 2),
+         "ring4_k2": lambda: ring4(k=2)}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("tag", [*UNIFORM_MODELS, *WALKS])
+def test_gap_directions_lie_in_the_gap_eigenspace(tag, k):
+    from sobolev_lab.certify import MAX_DIRECTIONS
+    A = ampliate_generator({**STRUCTURED_MODELS, **WALKS}[tag](), k)
+    gap = A.gap()
+    phis = A.gap_directions(MAX_DIRECTIONS)
+    assert 1 <= len(phis) <= MAX_DIRECTIONS
+    for phi in phis:
+        assert phi.is_hermitian(tol=1e-14)
+        assert inner(phi, phi) == pytest.approx(1.0, abs=1e-12)
+        assert A.expectation.apply(phi).norm() <= 1e-12
+        assert (A.apply(phi) - phi * gap).norm() <= 1e-10
+
+
+@pytest.mark.parametrize("build,factors", [
+    (lambda: (random_transposition(3), _dep(WeightedAlgebra.full_matrix(2))), (2,)),
+    (lambda: (_dep(WeightedAlgebra.full_matrix(2)),) * 2, (1, 2)),
+], ids=["rt3_x_dep2_gaps_differ", "dep2_x_dep2_gaps_tie"])
+def test_tensor_directions_come_from_the_factors_at_the_gap(build, factors):
+    A1, A2 = build()
+    one1, one2 = A1.algebra.identity(), A2.algebra.identity()
+    of_factor = {1: [tensor_element(x, one2) for x in A1.gap_directions(8)],
+                 2: [tensor_element(one1, y) for y in A2.gap_directions(8)]}
+    got = tensor_generator(A1, A2).gap_directions(8)
+    expected = [x for which in factors for x in of_factor[which]]
+    assert len(got) == len(expected)
+    for x, y in zip(got, expected):
+        assert x.allclose(y, atol=1e-15)
 
 
 # -- ampliation and tensoring ------------------------------------------------------------
