@@ -10,8 +10,6 @@ independently, so a report cannot claim a pass while holding a violation.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,28 +50,16 @@ def minimize(fun, x0, **options):
 
 
 def worker_count():
-    env = os.environ.get("SOBOLEV_LAB_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ContractViolationError(
-                "SOBOLEV_LAB_THREADS must be an integer") from None
-    return min(4, os.cpu_count() or 1)
+    """1: the search runs its restarts in the calling thread.  The name stays
+    only for the benchmark tracer's lookup and goes with ROADMAP item 1's
+    benchmark change."""
+    return 1
 
 
 def parallel_map(fn, items):
-    """Order-preserving map over items; SOBOLEV_LAB_THREADS caps the workers.
-
-    Results are merged in input order regardless of completion order, so a
-    run with N workers is bit-identical to a sequential one.
-    """
-    items = list(items)
-    n = min(worker_count(), len(items))
-    if n <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    """[fn(it) for it in items].  The name stays only for the benchmark
+    tracer's span and goes with ROADMAP item 1's benchmark change."""
+    return [fn(it) for it in items]
 
 
 # -- reports -------------------------------------------------------------------
@@ -291,8 +277,9 @@ def estimate_constant(A, f, ampliation=1, budget=None):
     budget.restarts seeded random interior states.  Every scan state and
     each restart's end point is evaluated through sobolev_ratio, and the
     reported estimate is the minimum of those values, so the witness
-    reproduces it exactly.  No dense generator data is built, so the search
-    runs past MAX_DENSE_COEFF_DIM.  Block dims must be uniform.
+    reproduces it exactly.  The restarts run in order in the calling thread.
+    No dense generator data is built, so the search runs past
+    MAX_DENSE_COEFF_DIM.  Block dims must be uniform.
     """
     budget = budget or OptimizerBudget()
     Ak = ampliate_generator(A, int(ampliation))
@@ -322,29 +309,24 @@ def estimate_constant(A, f, ampliation=1, budget=None):
                 if state.min_eigenvalue() >= 1e-8:
                     evaluate(state)
 
+    def objective(x):
+        counters["samples"] += 1
+        try:
+            return _ratio_and_gradient(Ak, f, x)
+        except (DegenerateStateError, DomainError):
+            counters["rejected"] += 1
+            return 1e6, np.zeros_like(x)
+
     def descend(ridx):
         x0 = make_rng(budget.seed, 7, ridx).standard_normal(2 * alg.coeff_dim) * 0.5
-        local = [0, 0]
-
-        def objective(x):
-            local[0] += 1
-            try:
-                return _ratio_and_gradient(Ak, f, x)
-            except (DegenerateStateError, DomainError):
-                local[1] += 1
-                return 1e6, np.zeros_like(x)
-
         res = minimize(objective, x0, method="L-BFGS-B", jac=True,
                        options={"maxiter": budget.iterations,
                                 "gtol": LBFGS_GTOL,
                                 "ftol": LBFGS_FTOL})
-        return np.asarray(res.x, dtype=float), local[0], local[1]
+        return np.asarray(res.x, dtype=float)
 
-    restart_values = []
-    for x, n_evals, n_rej in parallel_map(descend, range(budget.restarts)):
-        counters["samples"] += n_evals
-        counters["rejected"] += n_rej
-        restart_values.append(evaluate(_search_state(alg, x)[1]))
+    restart_values = [evaluate(_search_state(alg, x)[1])
+                      for x in parallel_map(descend, range(budget.restarts))]
 
     est, witness = best
     if witness is None:

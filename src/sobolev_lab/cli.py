@@ -341,8 +341,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="sobolev-lab",
         description="Estimate decay constants and verify entropy inequalities "
-                    "for tracial block-matrix models.",
-        epilog="Set SOBOLEV_LAB_THREADS to cap the optimizer worker count.")
+                    "for tracial block-matrix models.")
     parser.add_argument("--config", required=True,
                         help="path to a JSON experiment config")
     parser.add_argument("--seed", type=int, default=None,

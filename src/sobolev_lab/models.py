@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 
 import numpy as np
 
@@ -177,7 +176,7 @@ def _factor_plan(groups1, groups2, prod):
     """For factors with these dim groups and product algebra prod: per dim
     group of one factor, the (product dim group, (n1, n2) stack positions,
     split block shape (n1, n2, k1, k2, k1, k2)) of each dim group of the
-    other; built with the generator, so threads only read it."""
+    other; built with the generator."""
     slots, m2 = prod.site_slots, sum(len(idx) for _, idx in groups2)
 
     def pair(k1, sites1, k2, sites2):
@@ -295,7 +294,6 @@ class GeneratorHandle:
         self.spec = spec
         self.exact_gap = exact_gap
         self.gap_tol = float(gap_tol)
-        self._lock = threading.Lock()
         self._site_eig = None
 
     def apply(self, x):
@@ -335,14 +333,13 @@ class GeneratorHandle:
         """(lam, W, sigma) of the site matrix in tau-orthonormal site
         coordinates: with sigma = sqrt(mu), sigma L sigma^-1 = W diag(lam) W^T,
         symmetric because the moves are reversible."""
-        with self._lock:
-            if self._site_eig is None:
-                sigma = np.sqrt(np.asarray(self.algebra.weights, dtype=float))
-                S = (sigma[:, None] * self.site_matrix) / sigma[None, :]
-                lam, W = _checked_spectrum(
-                    S, self.spec, copies=self.algebra.uniform_dim ** 2)
-                self._site_eig = (lam, W, sigma)
-            return self._site_eig
+        if self._site_eig is None:
+            sigma = np.sqrt(np.asarray(self.algebra.weights, dtype=float))
+            S = (sigma[:, None] * self.site_matrix) / sigma[None, :]
+            lam, W = _checked_spectrum(
+                S, self.spec, copies=self.algebra.uniform_dim ** 2)
+            self._site_eig = (lam, W, sigma)
+        return self._site_eig
 
     def gap(self):
         if self.factors is not None:

@@ -518,6 +518,29 @@ def test_no_second_spectral_calculus():
     assert found == []
 
 
+def test_package_imports_no_concurrency_module():
+    """The search runs its restarts in the calling thread: at the
+    benchmark's sizes a pool's threads took turns on the GIL and slowed the
+    run down, so parallel restarts come back only with a measurement."""
+    import sobolev_lab
+    banned = ("threading", "concurrent", "multiprocessing")
+
+    def imports_banned(n):
+        if isinstance(n, ast.Import):
+            names = [a.name for a in n.names]
+        elif isinstance(n, ast.ImportFrom):
+            names = [n.module or ""]
+        else:
+            return False
+        return any(name.split(".")[0] in banned for name in names)
+
+    found = []
+    for path in sorted(Path(sobolev_lab.__file__).parent.glob("*.py")):
+        found += [f"{path.stem}: line {line}"
+                  for _, line in uses(ast.parse(path.read_text()), imports_banned)]
+    assert found == []
+
+
 def test_dense_generator_data_stays_off_the_run_path():
     """A generator's dense matrices are a test reference only; every
     quantity of a run, the search's gap directions included, comes from the

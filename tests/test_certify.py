@@ -460,8 +460,18 @@ def test_report_json_shape():
     assert payload["meta"] == {"note": "x"}
 
 
-def test_worker_count_env_override(monkeypatch):
-    monkeypatch.setenv("SOBOLEV_LAB_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("SOBOLEV_LAB_THREADS", "0")
-    assert worker_count() == 1
+def test_search_ignores_the_old_thread_variable(monkeypatch):
+    """SOBOLEV_LAB_THREADS no longer sizes a pool: the restarts run in the
+    calling thread whatever it holds, a non-integer included."""
+    A = random_transposition(3)
+    budget = OptimizerBudget(restarts=2, iterations=5, seed=0)
+
+    def run():
+        return estimate_constant(A, power(1.5), ampliation=2, budget=budget).to_json()
+
+    monkeypatch.delenv("SOBOLEV_LAB_THREADS", raising=False)
+    expected = run()
+    for value in ("3", "abc"):
+        monkeypatch.setenv("SOBOLEV_LAB_THREADS", value)
+        assert run() == expected
+        assert worker_count() == 1
