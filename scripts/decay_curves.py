@@ -12,15 +12,13 @@ Usage:
 
 import argparse
 import csv
-import math
 import os
 import sys
 
 import numpy as np
 
-from sobolev_lab import (bernoulli_laplace, entropy_vs_subalgebra,
-                         random_positive, random_transposition,
-                         semigroup_apply)
+from sobolev_lab import (bernoulli_laplace, decay_check, random_positive,
+                         random_transposition)
 from sobolev_lab.algebra import make_rng
 from sobolev_lab.functions import power, xlogx
 
@@ -42,20 +40,17 @@ def main(argv=None):
     t_grid = np.concatenate([[0.0], np.geomspace(0.01, 6.0, 25)])
     for tag, build, f, lam in WALKS:
         A = build()
-        E = A.expectation
+        states = [random_positive(A.algebra, floor=1e-3,
+                                  seed=make_rng(args.seed, s))
+                  for s in range(args.n_states)]
+        report = decay_check(A, f, lam, states, t_grid=t_grid)
         path = os.path.join(args.out_dir, f"{tag}.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "state", "entropy", "exp_bound"])
-            for s in range(args.n_states):
-                rho = random_positive(A.algebra, floor=1e-3,
-                                      seed=make_rng(args.seed, s))
-                d0 = entropy_vs_subalgebra(f, rho, E).value
-                for t in t_grid:
-                    sigma = semigroup_apply(A, float(t), rho).hermitian_part()
-                    d_t = entropy_vs_subalgebra(f, sigma, E).value
-                    writer.writerow([f"{t:.6g}", s, f"{d_t:.12g}",
-                                     f"{d0 * math.exp(-lam * t):.12g}"])
+            for r in report.records:
+                writer.writerow([f"{r['t']:.6g}", r["seed"],
+                                 f"{r['value']:.12g}", f"{r['bound']:.12g}"])
         print(f"wrote {path}")
     return 0
 

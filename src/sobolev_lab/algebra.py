@@ -66,9 +66,9 @@ class WeightedAlgebra:
         return WeightedAlgebra(labels, dims, tuple(float(x) for x in weights))
 
     @staticmethod
-    def full_matrix(d, label="q0"):
-        """Single-site algebra M_d with weight one."""
-        return WeightedAlgebra((label,), (int(d),), (1.0,))
+    def full_matrix(d):
+        """Single-site algebra M_d with weight one, its site labelled q0."""
+        return WeightedAlgebra(("q0",), (int(d),), (1.0,))
 
     @staticmethod
     def commutative(n, weights=None):
@@ -452,13 +452,13 @@ def tensor_element(x, y, product_algebra=None):
 
 # -- random states -----------------------------------------------------------
 
-def random_element(algebra, seed, hermitian=False, scale=1.0):
+def random_element(algebra, seed, hermitian=False):
     """Gaussian element; hermitian=True symmetrizes."""
     rng = seed if isinstance(seed, np.random.Generator) else make_rng(seed)
     blocks = []
     for k in algebra.dims:
         g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        g *= scale / math.sqrt(2.0)
+        g *= 1.0 / math.sqrt(2.0)
         if hermitian:
             g = 0.5 * (g + g.conj().T)
         blocks.append(g)

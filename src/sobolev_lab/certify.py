@@ -349,7 +349,7 @@ def estimate_constant(A, f, ampliation=1, budget=None):
 
 # -- decay and replay checks ---------------------------------------------------
 
-def decay_check(A, f, lam, states, t_grid=None, seeds=None):
+def decay_check(A, f, lam, states, t_grid=None):
     """Entropy decay along the semigroup at rate lam.
 
     slack(t) = exp(-lam t) d(rho) - d(T_t rho); a shortfall beyond
@@ -357,10 +357,9 @@ def decay_check(A, f, lam, states, t_grid=None, seeds=None):
     """
     t_grid = DEFAULT_T_GRID if t_grid is None else tuple(float(t) for t in t_grid)
     states = list(states)
-    seeds = list(range(len(states))) if seeds is None else list(seeds)
     E = A.expectation
     records = []
-    for sd, rho in zip(seeds, states):
+    for sd, rho in enumerate(states):
         d0 = entropy_vs_subalgebra(f, rho, E).value
         for t in t_grid:
             rt = semigroup_apply(A, t, rho).hermitian_part()
@@ -374,14 +373,13 @@ def decay_check(A, f, lam, states, t_grid=None, seeds=None):
               "t_grid": list(t_grid)})
 
 
-def fisher_decay_check(A, f, lam, states, t_grid=None, seeds=None):
+def fisher_decay_check(A, f, lam, states, t_grid=None):
     """Fisher information decay at rate lam, reported but never asserted:
     the slack is informational since no such constant is certified here."""
     t_grid = DEFAULT_T_GRID if t_grid is None else tuple(float(t) for t in t_grid)
     states = list(states)
-    seeds = list(range(len(states))) if seeds is None else list(seeds)
     records = []
-    for sd, rho in zip(seeds, states):
+    for sd, rho in enumerate(states):
         i0 = fisher_generator(A, f, rho)
         for t in t_grid:
             rt = semigroup_apply(A, t, rho).hermitian_part()
@@ -396,8 +394,7 @@ def fisher_decay_check(A, f, lam, states, t_grid=None, seeds=None):
               "t_grid": list(t_grid)})
 
 
-def pnorm_decay_check(A, p, lam, states, t_grid=None, seeds=None,
-                      certified=None):
+def pnorm_decay_check(A, p, lam, states, t_grid=None, certified=None):
     """Return-to-average norm decay implied by a certified entropy constant.
 
     Requires p in (1, 2) and 2*lam at or below a certified lower bound for
@@ -419,10 +416,9 @@ def pnorm_decay_check(A, p, lam, states, t_grid=None, seeds=None,
             "2*lam exceeds the certified lower bound for this walk")
     t_grid = DEFAULT_T_GRID if t_grid is None else tuple(float(t) for t in t_grid)
     states = list(states)
-    seeds = list(range(len(states))) if seeds is None else list(seeds)
     E = A.expectation
     records = []
-    for sd, rho in zip(seeds, states):
+    for sd, rho in enumerate(states):
         e_rho = E.apply(rho).hermitian_part()
         np_rho = p_norm(rho, p)
         np_e = p_norm(e_rho, p)

@@ -13,14 +13,14 @@ _KRAUS_TOL = 1e-10
 
 
 class QuantumChannel:
-    """Kraus-represented CPTP map between single-site algebras of equal dim.
+    """Kraus-represented CPTP map on M_d, d the Kraus dim.
 
     apply sums K x K*, adjoint_apply sums K* x K; the two are adjoint to each
     other for the unnormalized Hilbert-Schmidt pairing, hence also for tau on
     a single site.
     """
 
-    def __init__(self, kraus, input_algebra=None, output_algebra=None):
+    def __init__(self, kraus):
         kraus = tuple(np.array(K, dtype=complex, copy=True) for K in kraus)
         if not kraus:
             raise ContractViolationError("a channel needs at least one Kraus operator")
@@ -33,10 +33,7 @@ class QuantumChannel:
             raise ContractViolationError("Kraus operators fail sum K*K = 1 within 1e-10")
         self.kraus = kraus
         self.dim = d
-        self.input_algebra = input_algebra or WeightedAlgebra.full_matrix(d)
-        self.output_algebra = output_algebra or self.input_algebra
-        if self.input_algebra.dims != (d,) or self.output_algebra.dims != (d,):
-            raise AlgebraMismatchError("channel algebras must be single-site of the Kraus dim")
+        self.input_algebra = self.output_algebra = WeightedAlgebra.full_matrix(d)
 
     def apply(self, x):
         if x.algebra != self.input_algebra:

@@ -1,13 +1,17 @@
 """Command line driver: JSON config in, deterministic artifacts out.
 
-Each invocation reads one config file, runs a single command, writes a JSON
-report plus a CSV table under the output directory, and signals success only
-through the exit code: 0 pass or informational; 2 invalid config, including a
-malformed model or function spec; 3 numerical failure, that is a failed check
-or a broken numerical contract (a witness that does not reproduce its
-estimate, a generator with a negative mode or one that is not self-adjoint).
-Identical (config, seed) pairs produce identical bytes; all floats are
-printed with 12 significant digits and files are written atomically.
+Each invocation reads one config file and runs a single command, which
+computes its verdict, its artifacts (a JSON report plus one or two CSV
+tables) and its summary lines.  Only after the command has finished does run
+write every artifact under the output directory, each by atomic replace,
+print the summary and map the verdict to the exit code, in that one place; a
+run that fails writes no file.  Success is signalled only through the exit
+code: 0 pass or informational; 2 invalid config, including a malformed model
+or function spec; 3 numerical failure, that is a failed check or a broken
+numerical contract (a witness that does not reproduce its estimate, a
+generator with a negative mode or one that is not self-adjoint).  Identical
+(config, seed) pairs produce identical bytes; all floats are printed with 12
+significant digits.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 from .algebra import check_spec
 from .certify import (OptimizerBudget, decay_check, estimate_constant,
@@ -28,8 +31,9 @@ from .errors import (ContractViolationError, DegenerateStateError, DomainError,
                      NumericalContractError)
 from .functions import function_from_spec
 from .models import MAX_DENSE_COEFF_DIM, ampliate_generator, model_from_spec
-from .suite import (CHECKS, _model_label, _seeded_states, check_dpi,
-                    csv_text, reports_to_csv, suite_run, suite_verdict)
+from .suite import (CHECKS, _atomic_write, _model_label, _report_rows,
+                    _seeded_states, check_dpi, csv_text, suite_run,
+                    suite_verdict)
 
 # the fields of each command's config (see algebra.check_spec); the model
 # and f objects are checked by model_from_spec and function_from_spec
@@ -80,41 +84,21 @@ def _round12(obj):
     return obj
 
 
-def _atomic_write(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _json_text(payload):
+    return json.dumps(_round12(payload), indent=2, sort_keys=True) + "\n"
 
 
-def _write_json(path, payload):
-    _atomic_write(path, json.dumps(_round12(payload), indent=2,
-                                   sort_keys=True) + "\n")
+def _report_files(stem, report, **extra):
+    """{stem.json: the report with extra fields, stem.csv: its rows}."""
+    return {f"{stem}.json": _json_text(dict(report.to_json(), **extra)),
+            f"{stem}.csv": csv_text(_report_rows([report]))}
 
 
-def _build_model(config):
-    return ampliate_generator(model_from_spec(config["model"]),
-                              int(config.get("ampliation", 1)))
+# Each runner takes (config, model, seed), with the model validate_config
+# built (None for a command without one), and returns (verdict, {file name:
+# text}, summary lines); run writes, prints and maps the verdict.
 
-
-def _report_artifacts(out, stem, report, extra=None):
-    payload = dict(report.to_json())
-    if extra:
-        payload.update(extra)
-    _write_json(os.path.join(out, f"{stem}.json"), payload)
-    reports_to_csv([report], os.path.join(out, f"{stem}.csv"))
-    return payload
-
-
-def _run_gap(config, out, seed, quiet):
-    A = model_from_spec(config["model"])
+def _run_gap(config, A, seed):
     g = A.gap()
     exact = A.exact_gap
     verdict = "pass"
@@ -122,78 +106,63 @@ def _run_gap(config, out, seed, quiet):
     if exact is not None:
         slack = -abs(g - float(exact))
         verdict = "pass" if abs(g - float(exact)) <= 1e-9 else "fail"
-    _write_json(os.path.join(out, "gap.json"),
-                {"command": "gap", "model": A.spec, "gap": g,
-                 "exact": exact, "verdict": verdict, "seed": seed})
     rows = [["gap", _model_label(A.spec), "", "", "", seed, g, slack, verdict]]
-    _atomic_write(os.path.join(out, "gap.csv"), csv_text(rows))
-    if not quiet:
-        print(f"{g:.9f}")
-    return 0 if verdict == "pass" else 3
+    files = {"gap.json": _json_text({"command": "gap", "model": A.spec,
+                                     "gap": g, "exact": exact,
+                                     "verdict": verdict, "seed": seed}),
+             "gap.csv": csv_text(rows)}
+    return verdict, files, [f"{g:.9f}"]
 
 
-def _run_estimate(config, out, seed, quiet):
+def _run_estimate(config, A, seed):
     f = function_from_spec(config["f"])
-    budget_cfg = config.get("budget", {})
-    budget = OptimizerBudget(
-        restarts=int(budget_cfg.get("restarts", 32)),
-        iterations=int(budget_cfg.get("iterations", 2000)),
-        seed=seed)
-    base = model_from_spec(config["model"])
-    res = estimate_constant(base, f, ampliation=int(config.get("ampliation", 1)),
+    budget = OptimizerBudget(seed=seed, **{
+        key: int(value) for key, value in config.get("budget", {}).items()})
+    res = estimate_constant(A, f, ampliation=int(config.get("ampliation", 1)),
                             budget=budget)
     est = res.estimated_lambda
     verdict = "informational"
     if res.bracket is not None:
         low, high = res.bracket
         verdict = ("pass" if low - 1e-6 <= est <= high + 1e-6 else "fail")
-    payload = dict(res.to_json(), command="estimate", verdict=verdict)
-    _write_json(os.path.join(out, "estimate.json"), payload)
     f_spec = f.to_spec()
     rows = [["estimate", _model_label(res.model), f_spec["tag"],
              f_spec.get("p"), res.ampliation, i, val,
              None if val is None else val - est, verdict]
             for i, val in enumerate(res.restart_values)]
-    _atomic_write(os.path.join(out, "estimate.csv"), csv_text(rows))
-    if not quiet:
-        print(f"estimate {est:.12g} verdict {verdict}")
-    return 0 if verdict in ("pass", "informational") else 3
+    files = {"estimate.json": _json_text(dict(res.to_json(),
+                                              command="estimate",
+                                              verdict=verdict)),
+             "estimate.csv": csv_text(rows)}
+    return verdict, files, [f"estimate {est:.12g} verdict {verdict}"]
 
 
-def _run_decay(config, out, seed, quiet):
-    A = _build_model(config)
+def _run_decay(config, A, seed):
+    A = ampliate_generator(A, int(config.get("ampliation", 1)))
     f = function_from_spec(config["f"])
-    lam = float(config["lambda"])
-    t_grid = tuple(float(t) for t in config.get("t_grid") or ()) or None
     states = _seeded_states(A, int(config.get("n_states", 20)), seed, 3)
-    report = decay_check(A, f, lam, states, t_grid=t_grid)
-    _report_artifacts(out, "decay", report,
-                      {"command": "decay", "model": A.spec, "seed": seed})
+    report = decay_check(A, f, float(config["lambda"]), states,
+                         t_grid=config.get("t_grid"))
+    files = _report_files("decay", report, command="decay", model=A.spec,
+                          seed=seed)
     # the entropy of the first state along the semigroup against its bound
     curve = [[r["t"], r["value"], r["bound"]] for r in report.records
              if r["seed"] == 0]
-    _atomic_write(os.path.join(out, "decay_curve.csv"), csv_text(
-        curve, header=("t", "entropy", "bound_e_minus_lambda_t")))
-    if not quiet:
-        print(f"decay verdict {report.verdict}")
-    return 0 if report.verdict == "pass" else 3
+    files["decay_curve.csv"] = csv_text(
+        curve, header=("t", "entropy", "bound_e_minus_lambda_t"))
+    return report.verdict, files, [f"decay verdict {report.verdict}"]
 
 
-def _run_pnorm(config, out, seed, quiet):
-    A = _build_model(config)
-    p = float(config["p"])
-    lam = float(config["lambda"])
-    t_grid = tuple(float(t) for t in config.get("t_grid") or ()) or None
+def _run_pnorm(config, A, seed):
     states = _seeded_states(A, int(config.get("n_states", 20)), seed, 3)
-    report = pnorm_decay_check(A, p, lam, states, t_grid=t_grid)
-    _report_artifacts(out, "pnorm", report,
-                      {"command": "pnorm", "model": A.spec, "seed": seed})
-    if not quiet:
-        print(f"pnorm verdict {report.verdict}")
-    return 0 if report.verdict == "pass" else 3
+    report = pnorm_decay_check(A, float(config["p"]), float(config["lambda"]),
+                               states, t_grid=config.get("t_grid"))
+    files = _report_files("pnorm", report, command="pnorm", model=A.spec,
+                          seed=seed)
+    return report.verdict, files, [f"pnorm verdict {report.verdict}"]
 
 
-def _run_cone_test(config, out, seed, quiet):
+def _run_cone_test(config, model, seed):
     spec = config["kernel"]
     if spec["tag"] == "log":
         F = log_difference()
@@ -206,57 +175,46 @@ def _run_cone_test(config, out, seed, quiet):
     if "env_dims" in config:
         kwargs["env_dims"] = tuple(int(d) for d in config["env_dims"])
     rep = cone_test(F, **kwargs)
-    _write_json(os.path.join(out, "cone_test.json"),
-                dict(rep.to_json(), command="cone-test"))
     rows = [["cone_membership", "", rep.kernel, spec.get("p"), "", seed,
              rep.worst_min_eig, rep.worst_margin, rep.verdict]]
     for v in rep.violations:
         rows.append(["cone_membership", "", rep.kernel, spec.get("p"),
                      v["dim"], v["seed"], v["min_eig"],
                      v["min_eig"] + v["tolerance"], rep.verdict])
-    _atomic_write(os.path.join(out, "cone_test.csv"), csv_text(rows))
-    if not quiet:
-        print(f"cone-test verdict {rep.verdict}")
-    return 0 if rep.verdict == "pass" else 3
+    files = {"cone_test.json": _json_text(dict(rep.to_json(),
+                                               command="cone-test")),
+             "cone_test.csv": csv_text(rows)}
+    return rep.verdict, files, [f"cone-test verdict {rep.verdict}"]
 
 
-def _run_dpi_test(config, out, seed, quiet):
+def _run_dpi_test(config, model, seed):
     report = check_dpi(seed=seed, trials=int(config.get("trials", 40)))
-    _report_artifacts(out, "dpi_test", report,
-                      {"command": "dpi-test", "seed": seed})
-    if not quiet:
-        print(f"dpi-test verdict {report.verdict}")
-    return 0 if report.verdict == "pass" else 3
+    files = _report_files("dpi_test", report, command="dpi-test", seed=seed)
+    return report.verdict, files, [f"dpi-test verdict {report.verdict}"]
 
 
-def _run_suite(config, out, seed, quiet, check_filter=None):
-    suite_cfg = {"seed": seed}
-    checks = config.get("checks")
-    if checks is not None:
-        suite_cfg["checks"] = checks
-    if check_filter is not None:
-        entries = suite_cfg.get("checks", list(CHECKS))
-        keep = []
-        for entry in entries:
-            cid = entry if isinstance(entry, str) else entry.get("id")
-            if cid == check_filter:
-                keep.append(entry)
-        if not keep:
-            raise ContractViolationError(
-                f"--check {check_filter!r} names no check of this config")
-        suite_cfg["checks"] = keep
-    reports = suite_run(suite_cfg)
+def _run_suite(config, model, seed):
+    reports = suite_run({"seed": seed, "checks": config.get("checks")})
     verdict = suite_verdict(reports)
-    _write_json(os.path.join(out, "suite.json"),
-                {"command": "suite", "seed": seed, "verdict": verdict,
-                 "reports": [rep.to_json() for rep in reports]})
-    reports_to_csv(reports, os.path.join(out, "suite.csv"))
-    if not quiet:
-        for rep in reports:
-            tag = " (informational)" if rep.informational else ""
-            print(f"{rep.check_id}: {rep.verdict}{tag}")
-        print(f"suite verdict {verdict}")
-    return 0 if verdict == "pass" else 3
+    files = {"suite.json": _json_text({"command": "suite", "seed": seed,
+                                       "verdict": verdict,
+                                       "reports": [rep.to_json()
+                                                   for rep in reports]}),
+             "suite.csv": csv_text(_report_rows(reports))}
+    lines = [f"{rep.check_id}: {rep.verdict}"
+             + (" (informational)" if rep.informational else "")
+             for rep in reports]
+    return verdict, files, lines + [f"suite verdict {verdict}"]
+
+
+def _only_check(config, check_id):
+    """A suite config narrowed to its entries of check_id (--check)."""
+    keep = [entry for entry in config.get("checks", list(CHECKS))
+            if (entry if isinstance(entry, str) else entry.get("id")) == check_id]
+    if not keep:
+        raise ContractViolationError(
+            f"--check {check_id!r} names no check of this config")
+    return dict(config, checks=keep)
 
 
 _RUNNERS = {
@@ -274,7 +232,7 @@ def validate_config(config, seed=None, check_filter=None):
     """Check a config, with its --seed and --check overrides, against the
     fields of its command, build its model, and check the ampliated model of
     every command but gap against the element budget; return the command
-    name."""
+    name and the model (None for a command without one)."""
     if not isinstance(config, dict):
         raise ContractViolationError("config must be a JSON object")
     command = config.get("command")
@@ -289,9 +247,11 @@ def validate_config(config, seed=None, check_filter=None):
         for entry in config.get("checks", ()):
             if isinstance(entry, dict) and entry["id"] in CHECKS:
                 check_spec(entry, _check_entry_fields(entry["id"]))
+    model = None
     if "model" in config:
+        model = model_from_spec(config["model"])
         k = config.get("ampliation", 1)
-        dim = model_from_spec(config["model"]).algebra.coeff_dim * k * k
+        dim = model.algebra.coeff_dim * k * k
         if command != "gap" and dim > MAX_ELEMENT_COEFF_DIM:
             raise ContractViolationError(
                 f"elements of {dim} coefficients exceed {MAX_ELEMENT_COEFF_DIM}")
@@ -303,29 +263,34 @@ def validate_config(config, seed=None, check_filter=None):
     if check_filter is not None and command != "suite":
         raise ContractViolationError(
             f"--check selects suite checks; a {command!r} config has none")
-    return command
+    return command, model
 
 
 def run(config, out_dir=None, seed=None, check_filter=None, quiet=False):
-    """Execute one validated config; returns the process exit code."""
+    """Execute one validated config: once its command has finished, write
+    every artifact, print the summary lines and return the exit code."""
     try:
-        command = validate_config(config, seed, check_filter)
+        command, model = validate_config(config, seed, check_filter)
     except ContractViolationError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
     out = out_dir or config.get("out") or "."
     run_seed = int(seed if seed is not None else config.get("seed", 0))
     try:
-        if command == "suite":
-            return _run_suite(config, out, run_seed, quiet,
-                              check_filter=check_filter)
-        return _RUNNERS[command](config, out, run_seed, quiet)
+        if check_filter is not None:
+            config = _only_check(config, check_filter)
+        verdict, files, lines = _RUNNERS[command](config, model, run_seed)
     except (NumericalContractError, DegenerateStateError, DomainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ContractViolationError as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return 2
+    for name, text in files.items():
+        _atomic_write(os.path.join(out, name), text)
+    if not quiet:
+        print("\n".join(lines))
+    return 0 if verdict in ("pass", "informational") else 3
 
 
 def _finite_float(text):

@@ -196,7 +196,7 @@ class ConeTestReport:
 
 
 def cone_test(F, side="plus", trials=100, dims=(2, 3, 4), env_dims=(1, 2, 4),
-              seed=0, state_floor=1e-4):
+              seed=0):
     """Monte Carlo PSD-ordering test of the two cone inequalities.
 
     side "plus" checks  S(Q_F^{rho,sigma}) - B* S(Q_F^{b rho, b sigma}) B >= 0,
@@ -221,8 +221,8 @@ def cone_test(F, side="plus", trials=100, dims=(2, 3, 4), env_dims=(1, 2, 4),
         rng = make_rng(seed, t)
         alg = WeightedAlgebra.full_matrix(d)
         try:
-            rho = random_positive(alg, floor=state_floor, seed=rng)
-            sigma = random_positive(alg, floor=state_floor, seed=rng)
+            rho = random_positive(alg, floor=1e-4, seed=rng)
+            sigma = random_positive(alg, floor=1e-4, seed=rng)
             beta = random_mixed_unitary(d, e, rng)
             b_rho = beta.apply(rho).hermitian_part()
             b_sigma = beta.apply(sigma).hermitian_part()

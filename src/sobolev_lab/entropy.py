@@ -135,9 +135,8 @@ class DerivationHandle:
     right.  For commutator derivations the target is the source itself.
     """
 
-    def __init__(self, kind, source, target, apply_fn, left_sites, right_sites,
+    def __init__(self, source, target, apply_fn, left_sites, right_sites,
                  involution, pair_rates=None, rate_norm=None):
-        self.kind = kind
         self.source = source
         self.target = target
         self._apply_fn = apply_fn
@@ -185,7 +184,7 @@ def commutator_derivation(v):
     def J(xi):
         return -xi.adjoint()
 
-    return DerivationHandle("commutator", alg, alg, ap, sites, sites, J)
+    return DerivationHandle(alg, alg, ap, sites, sites, J)
 
 
 def difference_derivation_from_moves(algebra, moves):
@@ -222,7 +221,7 @@ def difference_derivation_from_moves(algebra, moves):
     def J(xi):
         return xi.adjoint()
 
-    return DerivationHandle("difference", algebra, target, ap, left, right, J,
+    return DerivationHandle(algebra, target, ap, left, right, J,
                             pair_rates=rates, rate_norm=Z)
 
 

@@ -264,7 +264,7 @@ class GeneratorHandle:
 
     def __init__(self, algebra, *, site_matrix=None, factors=None,
                  expectation=None, moves=None, spec=None,
-                 exact_gap=None, gap_tol=DEFAULT_GAP_TOL):
+                 exact_gap=None):
         if site_matrix is not None:
             site_matrix = np.asarray(site_matrix, dtype=float)
             m = algebra.n_sites
@@ -293,7 +293,6 @@ class GeneratorHandle:
         self.moves = None if moves is None else tuple(moves)
         self.spec = spec
         self.exact_gap = exact_gap
-        self.gap_tol = float(gap_tol)
         self._site_eig = None
 
     def apply(self, x):
@@ -347,7 +346,7 @@ class GeneratorHandle:
         if self.site_matrix is None:
             return 1.0
         lam = self._site_spectral()[0]
-        above = lam[lam > self.gap_tol]
+        above = lam[lam > DEFAULT_GAP_TOL]
         if above.size == 0:
             raise ContractViolationError("no spectrum above the kernel tolerance")
         return float(above[0])
@@ -366,7 +365,7 @@ class GeneratorHandle:
                      for x in B.gap_directions(limit))
         elif self.site_matrix is not None:
             lam, W, sigma = self._site_spectral()
-            V = W[:, _at_gap(lam, self.gap(), self.gap_tol)]
+            V = W[:, _at_gap(lam, self.gap(), DEFAULT_GAP_TOL)]
             # the columns' sum leads: near the identity its ratio comes closer
             # to twice the gap than a single column's does (bl42 at k = 2)
             found = (AlgebraElement._of(alg, (np.multiply.outer(v / sigma, u),))
@@ -624,13 +623,12 @@ def _base_spec(A):
     return spec
 
 
-def martingale_subalgebra_expectations(A, site_index=None):
+def martingale_subalgebra_expectations(A):
     """Expectations onto the subalgebras that pin one coordinate of each label.
 
     For the permutation walk, position i is pinned to its letter; for the
     occupancy walk, site i is pinned to occupied/empty.  Returns one
-    expectation per pinned position, or a single-entry list when site_index
-    is given (0-based).
+    expectation per pinned position.
     """
     spec = _base_spec(A)
     if spec is None:
@@ -645,11 +643,8 @@ def martingale_subalgebra_expectations(A, site_index=None):
     else:
         raise ContractViolationError(
             "martingale structure known only for the permutation and occupancy walks")
-    positions = range(n) if site_index is None else [int(site_index)]
     out = []
-    for i in positions:
-        if not 0 <= i < n:
-            raise ContractViolationError("position index out of range")
+    for i in range(n):
         groups = {}
         for s, label in enumerate(A.algebra.labels):
             groups.setdefault(key(label, i), []).append(s)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import tempfile
 
 import numpy as np
 
@@ -216,13 +218,12 @@ def check_gradient_identity(seed=0, instances=12, h=1e-4, t_grid=(0.0, 0.1, 1.0)
     if not h > 0:
         raise ContractViolationError("the difference step h must be positive")
     models = _builtin_models()
-    E_cache = {}
     records = []
     for i in range(int(instances)):
         tag, A = models[i % len(models)]
         f = _alternating_f(i // len(models))
         rho = random_positive(A.algebra, floor=1e-3, seed=make_rng(seed, 31, i))
-        E = E_cache.setdefault(tag, A.expectation)
+        E = A.expectation
         for t in t_grid:
             c = max(float(t), float(h))
             diff = (4.0 * _entropy_slope(A, f, E, rho, c, 0.5 * h)
@@ -651,8 +652,29 @@ def csv_text(rows, header=CSV_HEADER):
     return buf.getvalue()
 
 
-def reports_to_csv(reports, path):
-    """Tabular export: one row per record, 12 significant digits."""
+def _atomic_write(path, text):
+    """Write text to path by replacing it with a finished temporary file in
+    the same directory, so a reader never sees a partial file.  The file
+    gets the mode a plain open gives (0666 less the umask), not mkstemp's
+    0600."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            umask = os.umask(0)  # read by setting; restored at once
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _report_rows(reports):
+    """CSV rows of the reports: one per record, under CSV_HEADER."""
     rows = []
     for rep in reports:
         meta = rep.meta
@@ -670,6 +692,10 @@ def reports_to_csv(reports, path):
                 _model_label(r.get("model", _model_label(meta.get("model")))),
                 r.get("f", f_label), r.get("p", p_meta), r.get("k", k_meta),
                 r.get("seed"), r.get("value"), r.get("slack"), rep.verdict])
-    with open(path, "w", newline="") as fh:
-        fh.write(csv_text(rows))
+    return rows
+
+
+def reports_to_csv(reports, path):
+    """Tabular export: one row per record, 12 significant digits."""
+    _atomic_write(path, csv_text(_report_rows(reports)))
     return path

