@@ -378,7 +378,7 @@ def _floor_at_zero(lam):
 
 def stack_adjoint(arr):
     """Conjugate transpose of each block of a (g, k, k) stack."""
-    return np.conj(np.swapaxes(arr, -1, -2))
+    return np.conj(arr.swapaxes(-1, -2))
 
 
 def stack_function(U, values):

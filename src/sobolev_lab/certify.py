@@ -230,7 +230,7 @@ def _ratio_and_gradient(A, f, x):
     R, den, [(_, lam, U)], [(_, mu, V)], a, [fp] = _ratio_terms(A, f, rho)
     Uh = stack_adjoint(U)
     dk = divided_diff_grid(f, 2, lam, lam)
-    a_fp = A.apply(AlgebraElement._of(alg, (fp,))).stacks[0]
+    a_fp = A.map_stacks((fp,))[0]
     grad_i = a_fp + U @ (dk * (Uh @ a.stacks[0] @ U)) @ Uh
     grad_d = fp - stack_function(V, f.eval_order(mu, 1))
     M = (grad_i - R * grad_d) / den

@@ -7,11 +7,12 @@ write every artifact under the output directory, each by atomic replace,
 print the summary and map the verdict to the exit code, in that one place; a
 run that fails writes no file.  Success is signalled only through the exit
 code: 0 pass or informational; 2 invalid config, including a malformed model
-or function spec; 3 numerical failure, that is a failed check or a broken
-numerical contract (a witness that does not reproduce its estimate, a
-generator with a negative mode or one that is not self-adjoint).  Identical
-(config, seed) pairs produce identical bytes; all floats are printed with 12
-significant digits.
+or function spec, or an unusable output path (one that cannot be created or
+written, an artifact path that is a directory, an OS error while writing);
+3 numerical failure, that is a failed check or a broken numerical contract
+(a witness that does not reproduce its estimate, a generator with a negative
+mode or one that is not self-adjoint).  Identical (config, seed) pairs
+produce identical bytes; all floats are printed with 12 significant digits.
 """
 
 from __future__ import annotations
@@ -266,6 +267,19 @@ def validate_config(config, seed=None, check_filter=None):
     return command, model
 
 
+def _check_output(out, names=()):
+    """Raise OSError, creating nothing, unless out or its nearest existing
+    ancestor is a writable directory and no artifact path is a directory."""
+    path = os.path.abspath(out)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not (os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)):
+        raise NotADirectoryError(f"{path} is not a writable directory")
+    for name in names:
+        if os.path.isdir(os.path.join(out, name)):
+            raise IsADirectoryError(f"{os.path.join(out, name)} is a directory")
+
+
 def run(config, out_dir=None, seed=None, check_filter=None, quiet=False):
     """Execute one validated config: once its command has finished, write
     every artifact, print the summary lines and return the exit code."""
@@ -277,17 +291,22 @@ def run(config, out_dir=None, seed=None, check_filter=None, quiet=False):
     out = out_dir or config.get("out") or "."
     run_seed = int(seed if seed is not None else config.get("seed", 0))
     try:
+        _check_output(out)
         if check_filter is not None:
             config = _only_check(config, check_filter)
         verdict, files, lines = _RUNNERS[command](config, model, run_seed)
+        _check_output(out, files)
+        for name, text in files.items():
+            _atomic_write(os.path.join(out, name), text)
     except (NumericalContractError, DegenerateStateError, DomainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ContractViolationError as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return 2
-    for name, text in files.items():
-        _atomic_write(os.path.join(out, name), text)
+    except OSError as exc:  # runners do no I/O: this is the output path
+        print(f"unusable output path: {exc}", file=sys.stderr)
+        return 2
     if not quiet:
         print("\n".join(lines))
     return 0 if verdict in ("pass", "informational") else 3

@@ -40,13 +40,15 @@ def block_bregman(f, lam, U, mu, V, kernel_rule=False):
     vanishes there even where f'(0) is undefined.
     """
     overlap = np.abs(stack_adjoint(U) @ V) ** 2
-    X = np.broadcast_to(lam[..., :, None], overlap.shape)
-    Y = np.broadcast_to(mu[..., None, :], overlap.shape)
-    zero = (Y == 0.0) if kernel_rule else np.zeros(overlap.shape, dtype=bool)
-    gaps = np.empty(overlap.shape)
-    if zero.any():
+    if kernel_rule and (mu == 0.0).any():
+        X = np.broadcast_to(lam[..., :, None], overlap.shape)
+        Y = np.broadcast_to(mu[..., None, :], overlap.shape)
+        zero = Y == 0.0
+        gaps = np.empty(overlap.shape)
         gaps[zero] = f.eval_order(X[zero], 0) - f.eval_order(np.zeros(1), 0)
-    gaps[~zero] = bregman_gap(f, X[~zero], Y[~zero])
+        gaps[~zero] = bregman_gap(f, X[~zero], Y[~zero])
+    else:
+        gaps = bregman_gap(f, lam[..., :, None], mu[..., None, :])
     return np.sum(overlap * gaps, axis=(-2, -1))
 
 

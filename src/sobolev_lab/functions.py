@@ -42,6 +42,8 @@ class ScalarFunctionDescriptor:
         if fn is None:
             raise DomainError(f"{self.label} has no derivative of order {order}")
         x = np.asarray(x, dtype=float)
+        if x.size and x.min() > 0.0:
+            return fn(x)
         if np.any(x < 0.0):
             raise DomainError(f"{self.label} evaluated at a negative argument")
         at_zero = x == 0.0
@@ -51,20 +53,12 @@ class ScalarFunctionDescriptor:
         if zv is None:
             raise DomainError(
                 f"{self.label} order {order} is undefined at 0; the state must be faithful")
-        out = np.empty(x.shape, dtype=float)
-        out[at_zero] = zv
-        if (~at_zero).any():
-            out[~at_zero] = fn(x[~at_zero])
+        out = np.full(x.shape, zv, dtype=float)
+        out[~at_zero] = fn(x[~at_zero])
         return out
 
     def __call__(self, x):
         return self.eval_order(x, 0)
-
-    def deriv(self, x):
-        return self.eval_order(x, 1)
-
-    def deriv2(self, x):
-        return self.eval_order(x, 2)
 
     def to_spec(self):
         if self.p is None:
@@ -87,16 +81,8 @@ def power(p):
     p = float(p)
     if not 0.0 < p <= 2.0:
         raise ContractViolationError("power exponent must lie in (0, 2]")
-    if p == 1.0:
-        zero1 = 1.0
-    elif p > 1.0:
-        zero1 = 0.0
-    else:
-        zero1 = None
-    if p == 2.0:
-        zero2 = 2.0
-    else:
-        zero2 = None
+    zero1 = 1.0 if p == 1.0 else (0.0 if p > 1.0 else None)
+    zero2 = 2.0 if p == 2.0 else None
     return ScalarFunctionDescriptor(
         label=f"power({p:g})",
         order_fns=(
@@ -152,10 +138,10 @@ def divided_diff_grid(f, order, xs, ys, tol=DEFAULT_CLUSTER_TOL):
     Y = np.asarray(ys, dtype=float)[..., None, :]
     denom = X - Y
     near = np.abs(denom) <= tol * (1.0 + np.maximum(np.abs(X), np.abs(Y)))
-    mid = 0.5 * (X + Y)
-    fallback = f.eval_order(np.broadcast_to(mid, denom.shape).copy(), order)
-    fx = f.eval_order(np.broadcast_to(X, denom.shape).copy(), order - 1)
-    fy = f.eval_order(np.broadcast_to(Y, denom.shape).copy(), order - 1)
+    fallback = f.eval_order(0.5 * (X + Y), order)
+    # f^(order-1) once per vector, broadcast over the grid
+    fx = f.eval_order(X, order - 1)
+    fy = fx.swapaxes(-2, -1) if ys is xs else f.eval_order(Y, order - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         quot = (fx - fy) / denom
     return np.where(near, fallback, quot)
@@ -169,23 +155,16 @@ def bregman_gap(f, x, y):
     quadrature, which keeps full relative accuracy where the three terms
     cancel; elsewhere the three terms are summed directly.
     """
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
-                               np.asarray(y, dtype=float))
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     d = x - y
+    out = f.eval_order(x, 0) - f.eval_order(y, 0) - f.eval_order(y, 1) * d
     near = np.abs(d) < BREGMAN_NEAR * y
-    out = np.empty(d.shape)
     if near.any():
+        # a near pair has x, y > 0: the direct sum on every pair refuses
+        # only arguments of far pairs
+        out = np.asarray(out)
         dn = d[near]
-        nodes = y[near][:, None] + dn[:, None] * _GL_S
+        nodes = np.broadcast_to(y, d.shape)[near][:, None] + dn[:, None] * _GL_S
         out[near] = dn * dn * (f.eval_order(nodes, 2) @ _GL_W)
-    far = ~near
-    if far.any():
-        xf, yf = x[far], y[far]
-        out[far] = (f.eval_order(xf, 0) - f.eval_order(yf, 0)
-                    - f.eval_order(yf, 1) * (xf - yf))
     return out
-
-
-def divided_diff(f, order, x, y, tol=DEFAULT_CLUSTER_TOL):
-    """Scalar divided difference with the midpoint-derivative degenerate branch."""
-    return float(divided_diff_grid(f, order, [float(x)], [float(y)], tol)[0, 0])

@@ -175,6 +175,32 @@ def test_ratio_eigendecomposes_rho_once(monkeypatch):
     assert len(calls) == 2
 
 
+def test_ratio_and_gradient_makes_few_scalar_calls(monkeypatch):
+    # at a state with no near Bregman pair, f, f' and f'' are called seven
+    # times: f(rho), f(E rho) and f'(E rho) in the entropy, f'(rho) in the
+    # Fisher form, f'' at the midpoints and f' on the eigenvalues once in the
+    # divided differences, and f'(E rho) in the entropy's gradient
+    from sobolev_lab.algebra import _positive_eigh
+    from sobolev_lab.functions import BREGMAN_NEAR, ScalarFunctionDescriptor
+    Ak = ampliate_generator(random_transposition(3), 2)
+    x = make_rng(71, 4).standard_normal(2 * Ak.algebra.coeff_dim) * 0.5
+    rho = _search_state(Ak.algebra, x)[1]
+    [(_, lam, _)] = _positive_eigh(rho)
+    [(_, mu, _)] = _positive_eigh(Ak.expectation.apply(rho).hermitian_part())
+    gap = np.abs(lam[..., :, None] - mu[..., None, :])
+    assert not (gap < BREGMAN_NEAR * mu[..., None, :]).any()
+    calls = []
+    original = ScalarFunctionDescriptor.eval_order
+
+    def counted(self, x, order):
+        calls.append(order)
+        return original(self, x, order)
+
+    monkeypatch.setattr(ScalarFunctionDescriptor, "eval_order", counted)
+    _ratio_and_gradient(Ak, power(1.5), x)
+    assert len(calls) <= 7
+
+
 def _dep(d):
     return depolarizing(ConditionalExpectation.full_average(
         WeightedAlgebra.full_matrix(d)))

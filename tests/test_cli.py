@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sobolev_lab.cli import main, run, validate_config
+from sobolev_lab.cli import _RUNNERS, main, run, validate_config
 from sobolev_lab.errors import DomainError
 
 RT3 = {"model": "random_transposition", "params": {"n": 3}, "matrix_dim": 1}
@@ -497,3 +497,43 @@ def test_artifacts_get_the_mode_of_a_plain_open(tmp_path):
     assert {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()} == {
         name: 0o666 & ~umask
         for name in ("decay.json", "decay.csv", "decay_curve.csv")}
+
+
+def _refuse_to_run(*args):
+    raise AssertionError("the command ran")
+
+
+def test_output_path_under_a_file_exits_two_before_the_command(
+        tmp_path, monkeypatch, capsys):
+    # as --out /dev/null/x: the directory cannot be created
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setitem(_RUNNERS, "gap", _refuse_to_run)
+    cfg = write_config(tmp_path, {"command": "gap", "model": RT3})
+    assert main(["--config", cfg, "--out", str(blocker / "x")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"unusable output path: {blocker} is not a writable directory\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "file"]
+
+
+def test_artifact_path_that_is_a_directory_exits_two_and_writes_nothing(
+        tmp_path, capsys):
+    out = tmp_path / "art"
+    (out / "gap.csv").mkdir(parents=True)
+    assert run({"command": "gap", "model": RT3}, out_dir=str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"unusable output path: {out / 'gap.csv'} is a directory\n"
+    assert captured.out == ""
+    assert [p.name for p in out.iterdir()] == ["gap.csv"]
+
+
+def test_os_error_while_writing_exits_two(tmp_path, monkeypatch, capsys):
+    def disk_full(path, text):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("sobolev_lab.cli._atomic_write", disk_full)
+    assert run({"command": "gap", "model": RT3}, out_dir=str(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "unusable output path: [Errno 28] No space left on device\n"
+    assert captured.out == ""
