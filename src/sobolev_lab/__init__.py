@@ -9,22 +9,21 @@ from .certify import (CertificationResult, CheckReport, OptimizerBudget,
                       known_bracket, lemma_rtl_check,
                       martingale_recursion_replay, pnorm_decay_check,
                       sobolev_ratio)
-from .channels import (QuantumChannel, haar_unitary, random_channel,
-                       random_mixed_unitary)
+from .channels import QuantumChannel, haar_unitary, random_mixed_unitary
 from .doi import (TwoVariableKernel, cone_test, homogeneity_check,
                   log_difference, power_difference, schur_q,
                   superoperator_matrix)
-from .entropy import (DerivationHandle, bregman, commutator_derivation,
-                      difference_derivation_from_moves, entropy_vs_subalgebra,
-                      fisher_derivation, fisher_generator, monotone_metric)
+from .entropy import (DerivationHandle, bregman, difference_derivation_from_moves,
+                      entropy_vs_subalgebra, fisher_derivation,
+                      fisher_generator, monotone_metric)
 from .errors import (AlgebraMismatchError, ContractViolationError,
                      DegenerateStateError, DomainError)
 from .functions import function_from_spec, log_fn, power, xlogx
 from .models import (ConditionalExpectation, GeneratorHandle,
                      ampliate_generator, bernoulli_laplace, depolarizing,
-                     difference_derivation, graph_laplacian,
-                     martingale_subalgebra_expectations, model_from_spec,
-                     random_transposition, semigroup_apply, tensor_generator)
+                     graph_laplacian, martingale_subalgebra_expectations,
+                     model_from_spec, random_transposition, semigroup_apply,
+                     tensor_generator)
 from .suite import CHECKS, reports_to_csv, suite_run, suite_verdict
 
 __version__ = "0.1.0"
@@ -37,18 +36,18 @@ __all__ = [
     "estimate_constant", "fisher_decay_check", "known_bracket",
     "lemma_rtl_check", "martingale_recursion_replay", "pnorm_decay_check",
     "sobolev_ratio",
-    "QuantumChannel", "haar_unitary", "random_channel", "random_mixed_unitary",
+    "QuantumChannel", "haar_unitary", "random_mixed_unitary",
     "TwoVariableKernel", "cone_test", "homogeneity_check", "log_difference",
     "power_difference", "schur_q", "superoperator_matrix",
-    "DerivationHandle", "bregman", "commutator_derivation",
-    "difference_derivation_from_moves", "entropy_vs_subalgebra",
-    "fisher_derivation", "fisher_generator", "monotone_metric",
+    "DerivationHandle", "bregman", "difference_derivation_from_moves",
+    "entropy_vs_subalgebra", "fisher_derivation", "fisher_generator",
+    "monotone_metric",
     "AlgebraMismatchError", "ContractViolationError", "DegenerateStateError",
     "DomainError",
     "function_from_spec", "log_fn", "power", "xlogx",
     "ConditionalExpectation", "GeneratorHandle", "ampliate_generator",
-    "bernoulli_laplace", "depolarizing", "difference_derivation",
-    "graph_laplacian", "martingale_subalgebra_expectations", "model_from_spec",
+    "bernoulli_laplace", "depolarizing", "graph_laplacian",
+    "martingale_subalgebra_expectations", "model_from_spec",
     "random_transposition", "semigroup_apply", "tensor_generator",
     "CHECKS", "reports_to_csv", "suite_run", "suite_verdict",
 ]

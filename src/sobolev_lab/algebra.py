@@ -48,10 +48,11 @@ class WeightedAlgebra:
         for k in self.dims:
             if int(k) != k or k < 1:
                 raise ContractViolationError(f"block dim must be a positive integer, got {k}")
+        # written so that NaN weights fail both tests
         w = np.asarray(self.weights, dtype=float)
-        if np.any(w <= 0):
+        if not np.all(w > 0):
             raise ContractViolationError("site weights must be strictly positive")
-        if abs(w.sum() - 1.0) > _WEIGHT_TOL * max(1.0, len(w)):
+        if not abs(w.sum() - 1.0) <= _WEIGHT_TOL * max(1.0, len(w)):
             raise ContractViolationError(f"site weights must sum to 1, got {w.sum()!r}")
 
     # -- constructors ------------------------------------------------------
@@ -69,11 +70,6 @@ class WeightedAlgebra:
     def full_matrix(d):
         """Single-site algebra M_d with weight one, its site labelled q0."""
         return WeightedAlgebra(("q0",), (int(d),), (1.0,))
-
-    @staticmethod
-    def commutative(n, weights=None):
-        """n scalar sites (functions on n points)."""
-        return WeightedAlgebra.build([(i, 1) for i in range(n)], weights)
 
     @staticmethod
     def block_sites(n_sites, dim, weights=None):
@@ -120,15 +116,6 @@ class WeightedAlgebra:
         parts = [np.full(k * k, math.sqrt(mu / k)) for k, mu in zip(self.dims, self.weights)]
         return np.concatenate(parts)
 
-    def with_weights(self, weights):
-        return WeightedAlgebra(self.labels, self.dims, tuple(float(x) for x in weights))
-
-    def site_index(self, label):
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"no site labelled {label!r}") from None
-
     @cached_property
     def site_slots(self):
         """(dim group, position in that group's stack) of each site."""
@@ -151,15 +138,6 @@ class WeightedAlgebra:
         return AlgebraElement._of(self, tuple(
             c * np.broadcast_to(np.eye(k, dtype=complex), (len(idx), k, k))
             for k, idx in self.dim_groups))
-
-    def from_scalars(self, values):
-        """Diagonal element with the given scalar on each site (dims must be 1
-        or the scalar is spread on the identity of the block)."""
-        vals = list(values)
-        if len(vals) != self.n_sites:
-            raise ContractViolationError("one scalar per site expected")
-        return AlgebraElement(self, [v * np.eye(k, dtype=complex)
-                                     for v, k in zip(vals, self.dims)])
 
     # -- coordinates -------------------------------------------------------
 
@@ -277,9 +255,6 @@ class AlgebraElement:
     def __matmul__(self, other):
         return self._zip(other, np.matmul)
 
-    def adjoint(self):
-        return self._map(stack_adjoint)
-
     def hermitian_part(self):
         return self._map(lambda a: 0.5 * (a + stack_adjoint(a)))
 
@@ -291,11 +266,6 @@ class AlgebraElement:
 
     def op_norm(self):
         return max(float(np.linalg.norm(a, 2, axis=(-2, -1)).max()) for a in self.stacks)
-
-    def is_hermitian(self, tol=1e-10):
-        return all(np.all(np.linalg.norm(a - stack_adjoint(a), axis=(-2, -1))
-                          <= tol * (1.0 + np.linalg.norm(a, axis=(-2, -1))))
-                   for a in self.stacks)
 
     def min_eigenvalue(self):
         return min(float(np.linalg.eigvalsh(0.5 * (a + stack_adjoint(a)))[:, 0].min())

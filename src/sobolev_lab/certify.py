@@ -22,9 +22,10 @@ from .entropy import (_fisher_form, _subalgebra_entropy, bregman,
 from .errors import (ContractViolationError, DegenerateStateError, DomainError,
                      NumericalContractError)
 from .functions import divided_diff_grid, power
-from .models import (ConditionalExpectation, _base_spec, ampliate_generator,
-                     bernoulli_laplace, martingale_subalgebra_expectations,
-                     random_transposition, semigroup_apply)
+from .models import (MAX_ELEMENT_COEFF_DIM, ConditionalExpectation,
+                     _base_spec, ampliate_generator, bernoulli_laplace,
+                     martingale_subalgebra_expectations, random_transposition,
+                     semigroup_apply)
 
 DEFAULT_T_GRID = (0.0, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0)
 DENOMINATOR_FLOOR = 1e-12
@@ -404,7 +405,7 @@ def pnorm_decay_check(A, p, lam, states, t_grid=None, certified=None):
     """
     p = float(p)
     if not 1.0 < p < 2.0:
-        raise DomainError("p must lie in (1, 2)")
+        raise ContractViolationError("p must lie in (1, 2)")
     if certified is None:
         bracket = known_bracket(A, power(p))
         certified = None if bracket is None else bracket[0]
@@ -447,7 +448,11 @@ def lemma_rtl_check(n=2, matrix_dim=1, p=1.5, trials=100, seed=0):
     """
     p = float(p)
     if not 1.0 < p < 2.0:
-        raise DomainError("p must lie in (1, 2)")
+        raise ContractViolationError("p must lie in (1, 2)")
+    dim = n * matrix_dim ** 2
+    if dim > MAX_ELEMENT_COEFF_DIM:
+        raise ContractViolationError(
+            f"elements of {dim} coefficients exceed {MAX_ELEMENT_COEFF_DIM}")
     alg = WeightedAlgebra.block_sites(n, matrix_dim)
     E = ConditionalExpectation.from_partition(alg, (tuple(range(n)),))
     fp = power(p)
@@ -482,7 +487,7 @@ def martingale_recursion_replay(family, n, p=1.5, r=1, matrix_dim=1,
     """
     p = float(p)
     if not 1.0 < p < 2.0:
-        raise DomainError("p must lie in (1, 2)")
+        raise ContractViolationError("p must lie in (1, 2)")
     fp = power(p)
     if family == "rt":
         A = random_transposition(n, matrix_dim)
@@ -496,6 +501,10 @@ def martingale_recursion_replay(family, n, p=1.5, r=1, matrix_dim=1,
         sum_avg = True
     else:
         raise ContractViolationError("family must be 'rt' or 'bl'")
+    dim = A.algebra.coeff_dim
+    if dim > MAX_ELEMENT_COEFF_DIM:
+        raise ContractViolationError(
+            f"elements of {dim} coefficients exceed {MAX_ELEMENT_COEFF_DIM}")
     pinned = martingale_subalgebra_expectations(A)
     E = A.expectation
     records = []

@@ -13,12 +13,7 @@ _KRAUS_TOL = 1e-10
 
 
 class QuantumChannel:
-    """Kraus-represented CPTP map on M_d, d the Kraus dim.
-
-    apply sums K x K*, adjoint_apply sums K* x K; the two are adjoint to each
-    other for the unnormalized Hilbert-Schmidt pairing, hence also for tau on
-    a single site.
-    """
+    """Kraus-represented CPTP map on M_d, d the Kraus dim; apply sums K x K*."""
 
     def __init__(self, kraus):
         kraus = tuple(np.array(K, dtype=complex, copy=True) for K in kraus)
@@ -42,32 +37,9 @@ class QuantumChannel:
         out = sum(K @ b @ K.conj().T for K in self.kraus)
         return AlgebraElement(self.output_algebra, [out])
 
-    def adjoint_apply(self, y):
-        if y.algebra != self.output_algebra:
-            raise AlgebraMismatchError("element is not on the channel output algebra")
-        b = y.blocks[0]
-        out = sum(K.conj().T @ b @ K for K in self.kraus)
-        return AlgebraElement(self.input_algebra, [out])
-
     def matrix(self):
         """Superoperator matrix on row-major matrix-unit coefficients."""
         return sum(np.kron(K, K.conj()) for K in self.kraus)
-
-    def choi(self):
-        """Choi matrix sum_ij E_ij tensor Phi(E_ij)."""
-        d = self.dim
-        C = np.zeros((d * d, d * d), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                e = np.zeros((d, d), dtype=complex)
-                e[i, j] = 1.0
-                C[i * d:(i + 1) * d, j * d:(j + 1) * d] = sum(
-                    K @ e @ K.conj().T for K in self.kraus)
-        return C
-
-    def is_unital(self, tol=1e-10):
-        total = sum(K @ K.conj().T for K in self.kraus)
-        return bool(np.linalg.norm(total - np.eye(self.dim)) <= tol * self.dim)
 
 
 def haar_unitary(d, rng):
@@ -77,18 +49,6 @@ def haar_unitary(d, rng):
     phases = np.diag(r).copy()
     phases /= np.abs(phases)
     return q * phases
-
-
-def random_channel(d, env_dim, seed):
-    """Stinespring sample: Kraus blocks of the first d columns of a Haar
-    unitary on dimension d*env_dim.  env_dim=1 returns a unitary channel."""
-    if d < 1 or env_dim < 1:
-        raise ContractViolationError("dimensions must be positive")
-    rng = seed if isinstance(seed, np.random.Generator) else make_rng(seed)
-    u = haar_unitary(d * env_dim, rng)
-    isometry = u[:, :d]
-    kraus = [isometry[e * d:(e + 1) * d, :] for e in range(env_dim)]
-    return QuantumChannel(kraus)
 
 
 def random_mixed_unitary(d, n_unitaries, seed):

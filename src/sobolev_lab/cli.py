@@ -7,8 +7,9 @@ write every artifact under the output directory, each by atomic replace,
 print the summary and map the verdict to the exit code, in that one place; a
 run that fails writes no file.  Success is signalled only through the exit
 code: 0 pass or informational; 2 invalid config, including a malformed model
-or function spec, or an unusable output path (one that cannot be created or
-written, an artifact path that is a directory, an OS error while writing);
+or function spec and a suite entry that its check refuses, or an unusable
+output path (one that cannot be created or written, an artifact path that is
+a directory, an OS error while writing);
 3 numerical failure, that is a failed check or a broken numerical contract
 (a witness that does not reproduce its estimate, a generator with a negative
 mode or one that is not self-adjoint).  Identical (config, seed) pairs
@@ -27,11 +28,13 @@ import sys
 from .algebra import check_spec
 from .certify import (OptimizerBudget, decay_check, estimate_constant,
                       pnorm_decay_check)
-from .doi import cone_test, log_difference, power_difference
+from .doi import (CONE_DIMS, CONE_ENV_DIMS, cone_test, log_difference,
+                  power_difference)
 from .errors import (ContractViolationError, DegenerateStateError, DomainError,
                      NumericalContractError)
 from .functions import function_from_spec
-from .models import MAX_DENSE_COEFF_DIM, ampliate_generator, model_from_spec
+from .models import (MAX_DENSE_COEFF_DIM, MAX_ELEMENT_COEFF_DIM,
+                     ampliate_generator, model_from_spec)
 from .suite import (CHECKS, _atomic_write, _model_label, _report_rows,
                     _seeded_states, check_dpi, csv_text, suite_run,
                     suite_verdict)
@@ -57,9 +60,6 @@ _CONFIG_SPECS = {
     "dpi-test": {**_COMMON, "trials?": "integer >= 1"},
     "suite": {**_COMMON, "checks?": "check ids"},
 }
-# estimate, decay and pnorm refuse, before building one, a model whose elements
-# hold more coefficients (rt5 at k = 6 holds 4,320; gap builds no element)
-MAX_ELEMENT_COEFF_DIM = 1 << 16
 # the kind of a suite check parameter, by the type of its default
 _KIND_OF_DEFAULT = {int: "integer >= 1", float: "number",
                     tuple: "nonempty numbers", str: "string"}
@@ -257,10 +257,17 @@ def validate_config(config, seed=None, check_filter=None):
             raise ContractViolationError(
                 f"elements of {dim} coefficients exceed {MAX_ELEMENT_COEFF_DIM}")
     if command == "cone-test":
-        # cone_test builds d^2 x d^2 superoperators: the dense budget applies
-        if max(config.get("dims", ()), default=0) ** 2 > MAX_DENSE_COEFF_DIM:
+        # cone_test builds d^2 x d^2 superoperators, within the dense budget,
+        # and channels of env_dim d x d unitaries, within the element budget
+        d = max(config.get("dims", CONE_DIMS))
+        if d * d > MAX_DENSE_COEFF_DIM:
             raise ContractViolationError(
                 f"cone-test dims must satisfy d^2 <= {MAX_DENSE_COEFF_DIM}")
+        e = max(config.get("env_dims", CONE_ENV_DIMS))
+        if e * d * d > MAX_ELEMENT_COEFF_DIM:
+            raise ContractViolationError(
+                f"cone-test channels of {e} unitaries of dim {d} exceed "
+                f"{MAX_ELEMENT_COEFF_DIM} coefficients")
     if check_filter is not None and command != "suite":
         raise ContractViolationError(
             f"--check selects suite checks; a {command!r} config has none")

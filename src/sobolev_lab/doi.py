@@ -5,9 +5,9 @@ kernel F against states (rho, sigma) acts per block as
 
     Q_F(a) = U_rho (M o (U_rho* a U_sigma)) U_sigma*,   M_ij = F(s_i, t_j),
 
-with o the Hadamard product.  Inverting the kernel inverts the operator, and
-positivity-ordering statements between such operators become PSD comparisons
-of their matrices in the orthonormal tau-basis.
+with o the Hadamard product.  Positivity-ordering statements between such
+operators become PSD comparisons of their matrices in the orthonormal
+tau-basis.
 """
 
 from __future__ import annotations
@@ -23,6 +23,9 @@ from .errors import AlgebraMismatchError, ContractViolationError, DomainError
 from .functions import divided_diff_grid
 
 DEFAULT_KERNEL_FLOOR = 1e-12
+# cone_test's default site dims and channel environment dims
+CONE_DIMS = (2, 3, 4)
+CONE_ENV_DIMS = (1, 2, 4)
 
 
 class TwoVariableKernel:
@@ -41,48 +44,16 @@ class TwoVariableKernel:
             raise ContractViolationError("kernel gram has wrong shape")
         return out
 
-    def __call__(self, x, y):
-        return float(self.gram([float(x)], [float(y)])[0, 0])
-
     def __repr__(self):
         return f"<TwoVariableKernel {self.label}>"
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def constant(cls, c):
-        return cls(f"const({c:g})",
-                   lambda xs, ys: np.full((xs.size, ys.size), float(c)),
-                   floor=0.0)
-
-    @classmethod
     def diff_quot1(cls, f, tol=DEFAULT_CLUSTER_TOL):
         """(f(x)-f(y))/(x-y) with the derivative on near-degenerate pairs."""
         return cls(f"diffquot1[{f.label}]",
                    lambda xs, ys: divided_diff_grid(f, 1, xs, ys, tol))
-
-    @classmethod
-    def diff_quot2(cls, f, tol=DEFAULT_CLUSTER_TOL):
-        """(f'(x)-f'(y))/(x-y) with f'' on near-degenerate pairs."""
-        return cls(f"diffquot2[{f.label}]",
-                   lambda xs, ys: divided_diff_grid(f, 2, xs, ys, tol))
-
-    @classmethod
-    def perspective(cls, f):
-        """f(x/y) * y, the two-variable perspective of f."""
-        def gram(xs, ys):
-            X = xs[:, None]
-            Y = ys[None, :]
-            return f.eval_order((X / Y) * np.ones_like(Y), 0) * Y
-        return cls(f"perspective[{f.label}]", gram)
-
-    def inverse(self):
-        def gram(xs, ys):
-            m = self.gram(xs, ys)
-            if np.any(np.abs(m) < 1e-300):
-                raise DomainError(f"kernel {self.label} vanishes on the grid; cannot invert")
-            return 1.0 / m
-        return TwoVariableKernel(f"inv[{self.label}]", gram, floor=self.floor)
 
 
 # -- named kernels -----------------------------------------------------------
@@ -99,11 +70,6 @@ def power_difference(p):
     if not 0.0 < p < 1.0:
         raise ContractViolationError("power-difference kernels use p in (0, 1)")
     return TwoVariableKernel.diff_quot1(power(p))
-
-
-def fisher_kernel(f):
-    """f^[2], the second divided difference of the entropy weight."""
-    return TwoVariableKernel.diff_quot2(f)
 
 
 # -- operator integrals -------------------------------------------------------
@@ -195,7 +161,7 @@ class ConeTestReport:
         }
 
 
-def cone_test(F, side="plus", trials=100, dims=(2, 3, 4), env_dims=(1, 2, 4),
+def cone_test(F, side="plus", trials=100, dims=CONE_DIMS, env_dims=CONE_ENV_DIMS,
               seed=0):
     """Monte Carlo PSD-ordering test of the two cone inequalities.
 

@@ -134,28 +134,24 @@ class DerivationHandle:
     A handle maps elements of a source algebra into a target algebra carrying
     one site per elementary move; left_sites/right_sites name, per target
     site, the source sites whose spectral data multiplies from the left and
-    right.  For commutator derivations the target is the source itself.
+    right.  Target site t carries the source weight of left_sites[t] times
+    pair_rates[t] / rate_norm.
     """
 
     def __init__(self, source, target, apply_fn, left_sites, right_sites,
-                 involution, pair_rates=None, rate_norm=None):
+                 pair_rates, rate_norm):
         self.source = source
         self.target = target
         self._apply_fn = apply_fn
         self.left_sites = tuple(left_sites)
         self.right_sites = tuple(right_sites)
-        self._involution = involution
-        self.pair_rates = None if pair_rates is None else tuple(pair_rates)
+        self.pair_rates = tuple(pair_rates)
         self.rate_norm = rate_norm
 
     def apply(self, x):
         if x.algebra != self.source:
             raise AlgebraMismatchError("derivation argument on the wrong algebra")
         return self._apply_fn(x)
-
-    def involution(self, xi):
-        """The antilinear J with delta(x*) = J(delta(x))."""
-        return self._involution(xi)
 
     def target_weights(self, weights=None):
         """Per-target-site trace weights, optionally for overridden source weights."""
@@ -164,29 +160,8 @@ class DerivationHandle:
         w = np.asarray(weights, dtype=float)
         if w.shape != (self.source.n_sites,):
             raise ContractViolationError("override weights must give one value per source site")
-        if self.pair_rates is None:
-            if self.target is not self.source and self.target != self.source:
-                raise ContractViolationError(
-                    "weight override needs the move structure of a difference derivation")
-            return w
         return np.array([w[s] * r / self.rate_norm
                          for s, r in zip(self.left_sites, self.pair_rates)])
-
-
-def commutator_derivation(v):
-    """delta(x) = v x - x v for hermitian v; J(xi) = -xi*."""
-    if not v.is_hermitian():
-        raise ContractViolationError("commutator derivations require a hermitian generator")
-    alg = v.algebra
-    sites = tuple(range(alg.n_sites))
-
-    def ap(x):
-        return v @ x - x @ v
-
-    def J(xi):
-        return -xi.adjoint()
-
-    return DerivationHandle(alg, alg, ap, sites, sites, J)
 
 
 def difference_derivation_from_moves(algebra, moves):
@@ -220,11 +195,7 @@ def difference_derivation_from_moves(algebra, moves):
         return AlgebraElement(target, [c * (x.blocks[s] - x.blocks[t])
                                        for s, t, r in moves])
 
-    def J(xi):
-        return xi.adjoint()
-
-    return DerivationHandle(algebra, target, ap, left, right, J,
-                            pair_rates=rates, rate_norm=Z)
+    return DerivationHandle(algebra, target, ap, left, right, rates, Z)
 
 
 def fisher_derivation(delta, f, rho, weights=None):

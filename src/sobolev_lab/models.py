@@ -22,7 +22,6 @@ import numpy as np
 
 from .algebra import (AlgebraElement, WeightedAlgebra, ampliate_algebra,
                       check_spec, tensor_algebra, tensor_element)
-from .entropy import difference_derivation_from_moves
 from .errors import (AlgebraMismatchError, ContractViolationError,
                      NumericalContractError)
 
@@ -30,6 +29,9 @@ DEFAULT_GAP_TOL = 1e-9
 # Dense (coeff_dim x coeff_dim) data is a test reference only, built within
 # this budget; no run path needs it.
 MAX_DENSE_COEFF_DIM = 4096
+# The commands and checks that build elements refuse, before building one, a
+# model whose elements hold more coefficients (rt5 at k = 6 holds 4,320).
+MAX_ELEMENT_COEFF_DIM = 1 << 16
 
 
 def _checked_spectrum(S, spec, copies=1, eig=True):
@@ -651,13 +653,6 @@ def martingale_subalgebra_expectations(A):
         cells = tuple(tuple(g) for _, g in sorted(groups.items()))
         out.append(ConditionalExpectation.from_partition(A.algebra, cells))
     return out
-
-
-def difference_derivation(A):
-    """Square root of the Dirichlet form of a jump generator, as a derivation."""
-    if A.moves is None:
-        raise ContractViolationError("no elementary-move structure on this generator")
-    return difference_derivation_from_moves(A.algebra, A.moves)
 
 
 # the fields of each model tag's spec besides "model" (see algebra.check_spec)

@@ -119,7 +119,7 @@ def test_ratio_near_the_identity_against_mpmath():
     r = [mp.mpf(float(v)) for v in rho]
     Lr = [mp.fsum(mp.mpf(float(A.site_matrix[s, t])) * r[t] for t in range(m))
           for s in range(m)]
-    cases = [(A, A.algebra.from_scalars(rho), r, Lr)]
+    cases = [(A, AlgebraElement(A.algebra, np.reshape(rho, (-1, 1, 1))), r, Lr)]
     # the depolarizers on M_2 and M_3: their ratio depends on the
     # eigenvalues only, and at these seeds tau(A(rho)) carries a roundoff
     # that f'(rho) would multiply without the projection
@@ -236,7 +236,7 @@ def _model(walk):
         return bernoulli_laplace(3, 1)
     # a callable action; ampliated, a lifted expectation
     return depolarizing(ConditionalExpectation.full_average(
-        WeightedAlgebra.commutative(3)))
+        WeightedAlgebra.block_sites(3, 1)))
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -388,7 +388,7 @@ def test_pnorm_decay_trivial_on_fixed_points():
 def test_pnorm_decay_input_contracts():
     A = random_transposition(3)
     states = [random_positive(A.algebra, floor=1e-2, seed=3)]
-    with pytest.raises(DomainError):
+    with pytest.raises(ContractViolationError):
         pnorm_decay_check(A, 2.5, 0.5, states)
     with pytest.raises(ContractViolationError):
         pnorm_decay_check(A, 1.5, 1.0, states)  # 2 lam above the certified bound
@@ -402,9 +402,9 @@ def test_pnorm_decay_input_contracts():
 
 def test_pair_energy_bound_hand_oracle():
     """n = 2 scalar values (2, 0), p = 3/2: gap sqrt(2) - 1 under bound sqrt(2)/2."""
-    alg = WeightedAlgebra.commutative(2)
+    alg = WeightedAlgebra.block_sites(2, 1)
     E = ConditionalExpectation.from_partition(alg, ((0, 1),))
-    f = alg.from_scalars([2.0, 0.0])
+    f = AlgebraElement(alg, np.reshape([2.0, 0.0], (-1, 1, 1)))
     lhs = entropy_vs_subalgebra(power(1.5), f, E).value
     assert lhs == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-12)
     rhs = (1.0 / 8.0) * 2.0 * (2.0 - 0.0) * (2.0 ** 0.5 - 0.0)
@@ -419,7 +419,7 @@ def test_pair_energy_bound_sweep(n, k):
 
 
 def test_pair_energy_bound_p_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(ContractViolationError):
         lemma_rtl_check(p=2.5)
 
 

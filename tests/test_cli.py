@@ -271,7 +271,7 @@ def test_witness_mismatch_exits_three(tmp_path, capsys, monkeypatch):
 def test_broken_generator_exits_three(tmp_path, capsys, monkeypatch,
                                       site_matrix, message):
     from sobolev_lab import GeneratorHandle, WeightedAlgebra
-    A = GeneratorHandle(WeightedAlgebra.commutative(2), site_matrix=site_matrix)
+    A = GeneratorHandle(WeightedAlgebra.block_sites(2, 1), site_matrix=site_matrix)
     monkeypatch.setattr("sobolev_lab.cli.model_from_spec", lambda spec: A)
     out = tmp_path / "art"
     assert run({"command": "gap", "model": RT3}, out_dir=str(out),
@@ -388,7 +388,7 @@ def test_shipped_configs_are_accepted(path):
     assert validate_config(config)[0] == config["command"]
 
 
-@pytest.mark.parametrize("config", [
+@pytest.mark.parametrize("config,refusal", [(config, "invalid config") for config in [
     dict(CONE, trials=0), dict(DECAY, n_states=0),
     dict(ESTIMATE, ampliation=0),
     dict(DECAY, **{"lambda": 0}), dict(PNORM, p=1), dict(PNORM, p=2),
@@ -409,7 +409,18 @@ def test_shipped_configs_are_accepted(path):
     dict(ESTIMATE, model=RT3_HUGE), dict(DECAY, model=RT3_HUGE),
     dict(PNORM, model=RT3_HUGE), dict(DECAY, ampliation=100000),
     {"command": "gap", "model": {"model": "random_transposition", "params": {}}},
-], ids=["trials_0", "n_states_0", "ampliation_0", "lambda_0", "p_1", "p_2",
+    # 4 * 16385 coefficients, just past the element budget
+    dict(CONE, dims=[2], env_dims=[16385]),
+]] + [(config, "contract violation") for config in [
+    # refused by the check itself once the suite runs; 3 * 148^2 and
+    # 6 * 105^2 coefficients, just past the element budget
+    suite_entry(id="lemma_rtl", matrix_dim=148, trials=1),
+    suite_entry(id="martingale_rt", matrix_dim=105, trials=1),
+    suite_entry(id="lemma_rtl", p=3), suite_entry(id="pnorm_decay", p=2.5),
+    suite_entry(id="martingale_rt", p=3),
+    # (-2)^u is NaN for fractional u: NaN site weights
+    suite_entry(id="change_of_measure", ratio_caps=[-2]),
+]], ids=["trials_0", "n_states_0", "ampliation_0", "lambda_0", "p_1", "p_2",
         "side_x", "dims_empty", "dims_1", "env_dims_0", "restarts_0",
         "budget_unknown_key", "t_grid_empty", "t_grid_string", "kernel_exp",
         "kernel_without_tag", "unknown_key", "seed_fractional", "seed_bool",
@@ -417,12 +428,15 @@ def test_shipped_configs_are_accepted(path):
         "check_lower_string", "check_trials_0", "check_n_states_0",
         "check_t_grid_empty", "check_trials_fractional",
         "check_n_states_string", "estimate_huge", "decay_huge", "pnorm_huge",
-        "decay_ampliation_huge", "gap_malformed_spec"])
-def test_invalid_config_exits_two_without_artifacts(tmp_path, capsys, config):
+        "decay_ampliation_huge", "gap_malformed_spec", "cone_env_dims_huge",
+        "lemma_rtl_huge", "martingale_rt_huge", "lemma_rtl_p_3",
+        "pnorm_decay_p_2_5", "martingale_rt_p_3", "change_of_measure_nan_weights"])
+def test_invalid_config_exits_two_without_artifacts(tmp_path, capsys, config,
+                                                    refusal):
     out = tmp_path / "art"
     cfg = write_config(tmp_path, config)
     assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 2
-    assert "invalid config" in capsys.readouterr().err
+    assert refusal in capsys.readouterr().err
     assert not out.exists()
 
 

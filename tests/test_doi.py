@@ -19,10 +19,21 @@ from sobolev_lab import (
     superoperator_matrix,
 )
 from sobolev_lab.algebra import AlgebraElement, random_element
-from sobolev_lab.doi import fisher_kernel
-from sobolev_lab.functions import power, xlogx
+from sobolev_lab.functions import divided_diff_grid, power, xlogx
 
 seeds = st.integers(min_value=0, max_value=10_000)
+
+ONE = TwoVariableKernel("1", lambda xs, ys: np.ones((xs.size, ys.size)))
+
+
+def fisher_kernel(f):
+    """f^[2], the second divided difference of f."""
+    return TwoVariableKernel(f"f2[{f.label}]",
+                             lambda xs, ys: divided_diff_grid(f, 2, xs, ys))
+
+
+def inverse(F):
+    return TwoVariableKernel(f"1/{F.label}", lambda xs, ys: 1.0 / F.gram(xs, ys))
 
 
 def m2_state(d1, d2):
@@ -36,18 +47,8 @@ def test_constant_kernel_acts_as_identity():
     alg = WeightedAlgebra.full_matrix(3)
     rho = random_positive(alg, seed=1)
     a = random_element(alg, seed=2)
-    out = schur_q(TwoVariableKernel.constant(1.0), rho, rho, a)
+    out = schur_q(ONE, rho, rho, a)
     assert out.allclose(a, atol=1e-12)
-
-
-def test_perspective_of_identity_is_left_multiplication():
-    alg = WeightedAlgebra.full_matrix(3)
-    rho = random_positive(alg, floor=0.1, seed=3)
-    sigma = random_positive(alg, floor=0.1, seed=4)
-    a = random_element(alg, seed=5)
-    F = TwoVariableKernel.perspective(power(1.0))
-    out = schur_q(F, rho, sigma, a)
-    assert out.allclose(rho @ a, atol=1e-10)
 
 
 def test_hand_schur_multiplication():
@@ -64,7 +65,9 @@ def test_hermiticity_preserved_on_equal_states():
     a = random_element(alg, seed=7, hermitian=True)
     for F in (log_difference(), power_difference(0.5), fisher_kernel(power(1.5))):
         out = schur_q(F, rho, rho, a)
-        assert out.is_hermitian(tol=1e-12)
+        for b in out.blocks:
+            defect = np.linalg.norm(b - b.conj().T)
+            assert defect <= 1e-12 * (1.0 + np.linalg.norm(b))
 
 
 def test_cluster_continuity():
@@ -84,7 +87,7 @@ def test_cluster_continuity():
 def test_superoperator_of_constant_one():
     alg = WeightedAlgebra.full_matrix(3)
     rho = random_positive(alg, seed=9)
-    S = superoperator_matrix(TwoVariableKernel.constant(1.0), rho, rho)
+    S = superoperator_matrix(ONE, rho, rho)
     assert np.linalg.norm(S - np.eye(9)) <= 1e-12
 
 
@@ -93,7 +96,7 @@ def test_superoperator_spectrum_on_diagonal_states():
     sigma = m2_state(3, 5)
     F = log_difference()
     S = superoperator_matrix(F, rho, sigma)
-    expected = sorted(F(x, y) for x in (1, 2) for y in (3, 5))
+    expected = sorted(F.gram([1, 2], [3, 5]).ravel())
     np.testing.assert_allclose(sorted(np.linalg.eigvalsh((S + S.conj().T) / 2)),
                                expected, atol=1e-12)
 
@@ -105,7 +108,7 @@ def test_inverse_kernel_inverts_the_matrix(s):
     rho = random_positive(alg, floor=0.05, seed=s)
     F = log_difference()
     S = superoperator_matrix(F, rho, rho)
-    S_inv = superoperator_matrix(F.inverse(), rho, rho)
+    S_inv = superoperator_matrix(inverse(F), rho, rho)
     assert np.linalg.norm(S_inv - np.linalg.inv(S)) <= 1e-9 * np.linalg.norm(S_inv)
 
 
@@ -114,7 +117,7 @@ def test_inverse_kernel_roundtrip_on_elements():
     rho = random_positive(alg, floor=0.05, seed=10)
     a = random_element(alg, seed=11)
     F = fisher_kernel(power(1.5))
-    back = schur_q(F.inverse(), rho, rho, schur_q(F, rho, rho, a))
+    back = schur_q(inverse(F), rho, rho, schur_q(F, rho, rho, a))
     assert (back - a).norm() <= 1e-9 * (1.0 + a.norm())
 
 
@@ -142,8 +145,7 @@ def test_homogeneity_of_power_fisher_kernels():
 
 
 def test_homogeneity_of_constant():
-    assert homogeneity_check(TwoVariableKernel.constant(1.0), (0.5, 1.0),
-                             np.linspace(0.5, 2.0, 5))
+    assert homogeneity_check(ONE, (0.5, 1.0), np.linspace(0.5, 2.0, 5))
 
 
 def test_homogeneity_fails_for_inverse_product():
